@@ -233,24 +233,6 @@ func (a *Analysis) Plan() (*Plan, error) { return plan.QPlan(a.an) }
 // ShardedDatabase.CardStats or Engine.CardStats.
 func (a *Analysis) OptimizedPlan(cs *CardStats) (*Plan, error) { return plan.Optimize(a.an, cs) }
 
-// GreedyPlan generates a cost-based bounded query plan using only the
-// greedy ordering heuristic — no branch-and-bound search — so planning
-// latency stays flat as query shapes grow. Same soundness guarantees as
-// OptimizedPlan; the chosen order may fetch more tuples. This is the
-// plan tier a tiered engine serves on a cold prepare.
-func (a *Analysis) GreedyPlan(cs *CardStats) (*Plan, error) { return plan.OptimizeGreedy(a.an, cs) }
-
-// PlanTier identifies how a plan's fetch order was chosen: naive
-// derivation order, the greedy heuristic, or the full optimizer.
-type PlanTier = plan.Tier
-
-// Plan tier values (Plan.Tier).
-const (
-	TierNaive     = plan.TierNaive
-	TierGreedy    = plan.TierGreedy
-	TierOptimized = plan.TierOptimized
-)
-
 // AnnotateEstimates fills a plan's per-step and total cost estimates
 // from cardinality statistics without changing its structure — for
 // rendering naive and cost-based plans on one scale.
@@ -332,28 +314,18 @@ func ExecuteStream(p *Plan, st Store, opts StreamOptions) *Stream {
 // Re-exported prepared-query engine types.
 type (
 	// Engine is a long-lived prepared-query service over one database:
-	// parse → analyze → plan runs once per query shape (LRU plan cache),
-	// bounded execution runs per request.
+	// parse → analyze → cost-based plan (OptimizedPlan) runs once per
+	// query shape (LRU plan cache), bounded execution runs per request.
 	Engine = engine.Engine
-	// Prepared is a cached query plan ready for repeated execution.
+	// Prepared is a cached query plan ready for repeated execution. It
+	// never changes after Prepare returns it; a drift re-plan builds a
+	// new one for later prepares.
 	Prepared = engine.Prepared
 	// EngineOptions tunes the plan cache and executor parallelism.
 	EngineOptions = engine.Options
 	// EngineStats exposes the engine counters (prepares, cache hits,
-	// misses, evictions, executions, background plan upgrades).
+	// misses, evictions, executions, drift re-plans).
 	EngineStats = engine.Stats
-	// PlanMode selects the engine's cold-prepare planning tier
-	// (EngineOptions.PlanMode).
-	PlanMode = engine.PlanMode
-)
-
-// Engine planning modes: full optimization on every cold prepare (the
-// default), greedy-only, or greedy-first with background upgrade to the
-// optimized tier.
-const (
-	PlanModeOptimized = engine.PlanOptimized
-	PlanModeGreedy    = engine.PlanGreedy
-	PlanModeTiered    = engine.PlanTiered
 )
 
 // NewEngine builds a prepared-query engine over a loaded database. It

@@ -82,7 +82,6 @@ func main() {
 	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single store)")
 	dataDir := flag.String("data-dir", "", "durable store directory: seed it fresh or recover it, checkpoint on exit")
 	limit := flag.Int("limit", 0, "early termination: stop each query after N answers (0 = all), reporting the probes saved")
-	planTier := flag.String("plan-tier", "optimized", "cold-prepare planning tier: optimized | greedy | tiered (tiered serves the greedy plan first, upgrades in the background and re-runs after the upgrade lands)")
 	explain := flag.Bool("explain", false, "print each query's cost-based plan with estimated and actual per-step fetches")
 	trace := flag.Bool("trace", false, "run each query traced and print its span tree (prepare → waves → fetch/verify → shards)")
 	traceOut := flag.String("trace-out", "", "write each query's span tree as one JSON line to this file (implies tracing)")
@@ -107,7 +106,6 @@ func main() {
 		shardsSet: shardsSet,
 		dataDir:   *dataDir,
 		limit:     *limit,
-		planTier:  *planTier,
 		explain:   *explain,
 		trace:     *trace,
 		traceOut:  *traceOut,
@@ -131,7 +129,6 @@ type config struct {
 	shardsSet bool
 	dataDir   string
 	limit     int
-	planTier  string
 	explain   bool
 	trace     bool
 	traceOut  string
@@ -166,29 +163,7 @@ func (c config) validate() error {
 	if c.scale <= 0 {
 		return fmt.Errorf("-scale %g: scale factor must be > 0", c.scale)
 	}
-	switch c.planTier {
-	case "", "optimized", "greedy", "tiered":
-	default:
-		return fmt.Errorf("-plan-tier %q: must be optimized, greedy or tiered", c.planTier)
-	}
 	return nil
-}
-
-// planMode maps -plan-tier onto the engine's planning mode.
-func (c config) planMode() engine.PlanMode {
-	switch c.planTier {
-	case "greedy":
-		return engine.PlanGreedy
-	case "tiered":
-		return engine.PlanTiered
-	default:
-		return engine.PlanOptimized
-	}
-}
-
-// engineOptions is the engine configuration every bqrun mode shares.
-func (c config) engineOptions() engine.Options {
-	return engine.Options{Parallelism: c.parallel, PlanMode: c.planMode()}
 }
 
 func pickDataset(name string) (*datagen.Dataset, error) {
@@ -258,9 +233,9 @@ func run(c config) error {
 		if err != nil {
 			return err
 		}
-		eng, err = engine.NewLive(ld, c.engineOptions())
+		eng, err = engine.NewLive(ld, engine.Options{Parallelism: c.parallel})
 	} else {
-		eng, err = engine.New(ds.Catalog, ds.Access, db, c.engineOptions())
+		eng, err = engine.New(ds.Catalog, ds.Access, db, engine.Options{Parallelism: c.parallel})
 	}
 	if err != nil {
 		return err
@@ -284,14 +259,9 @@ func run(c config) error {
 			printRelStats(eng.Database().RelStats())
 		}
 	}
-	eng.DrainUpgrades()
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
 		st.Prepares, st.CacheMisses, st.CacheHits, st.Execs)
-	if eng.PlanMode() == engine.PlanTiered {
-		fmt.Printf("planner: tiered — %d background upgrades installed, %d discarded\n",
-			st.Upgrades, st.UpgradesDiscarded)
-	}
 	return nil
 }
 
@@ -377,7 +347,7 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 	}()
 	fmt.Println()
 
-	eng, err := bcq.NewShardedEngine(ss, c.engineOptions())
+	eng, err := bcq.NewShardedEngine(ss, bcq.EngineOptions{Parallelism: c.parallel})
 	if err != nil {
 		return err
 	}
@@ -417,14 +387,9 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 		printRelStats(ss.RelStats())
 		printShardStats(ss.ShardStats())
 	}
-	eng.DrainUpgrades()
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
 		st.Prepares, st.CacheMisses, st.CacheHits, st.Execs)
-	if eng.PlanMode() == engine.PlanTiered {
-		fmt.Printf("planner: tiered — %d background upgrades installed, %d discarded\n",
-			st.Upgrades, st.UpgradesDiscarded)
-	}
 
 	closed = true
 	if err := ss.Close(); err != nil {
@@ -444,7 +409,7 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 	if err != nil {
 		return err
 	}
-	eng, err := bcq.NewShardedEngine(ss, c.engineOptions())
+	eng, err := bcq.NewShardedEngine(ss, bcq.EngineOptions{Parallelism: c.parallel})
 	if err != nil {
 		return err
 	}
@@ -512,14 +477,9 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 		printRelStats(ss.RelStats())
 		printShardStats(ss.ShardStats())
 	}
-	eng.DrainUpgrades()
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
 		st.Prepares, st.CacheMisses, st.CacheHits, st.Execs)
-	if eng.PlanMode() == engine.PlanTiered {
-		fmt.Printf("planner: tiered — %d background upgrades installed, %d discarded\n",
-			st.Upgrades, st.UpgradesDiscarded)
-	}
 	return nil
 }
 
@@ -818,7 +778,6 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, q *bcq.Query, c config) err
 	if prep.NumParams() > 0 {
 		return fmt.Errorf("query %s has %d unbound placeholders; bqrun runs fully instantiated queries", q.Name, prep.NumParams())
 	}
-	coldTier := prep.PlanTier()
 	start := time.Now()
 	res, err := prep.ExecTrace(tr)
 	if err != nil {
@@ -833,9 +792,6 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, q *bcq.Query, c config) err
 	}
 	fmt.Printf("   evalDQ:   %5d answers in %8v — fetched %d tuples (|D_Q| = %d, bound %s)\n",
 		len(res.Tuples), evalTime.Round(time.Microsecond), res.Stats.TuplesFetched, res.DQSize, prep.FetchBound())
-	if eng.PlanMode() != engine.PlanOptimized {
-		fmt.Printf("   plan tier: %s\n", coldTier)
-	}
 	if c.explain {
 		// Explain renders the span tree itself when the result is traced.
 		fmt.Print(indentBlock(prep.Explain(res)))
@@ -845,22 +801,6 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, q *bcq.Query, c config) err
 	if c.limit > 0 {
 		if err := runLimited(prep, res, c); err != nil {
 			return err
-		}
-	}
-	if eng.PlanMode() == engine.PlanTiered {
-		// Wait for the background upgrade and show what the same Prepared
-		// executes like after the optimized tier is installed in place.
-		eng.DrainUpgrades()
-		start := time.Now()
-		ures, err := prep.Exec()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("   upgraded: %5d answers in %8v — fetched %d tuples (tier %s)\n",
-			len(ures.Tuples), time.Since(start).Round(time.Microsecond), ures.Stats.TuplesFetched, prep.PlanTier())
-		// Access counts may shrink across the upgrade; the answers must not.
-		if fmt.Sprintf("%v|%v", res.Cols, res.Tuples) != fmt.Sprintf("%v|%v", ures.Cols, ures.Tuples) {
-			return fmt.Errorf("TIER MISMATCH on %s: greedy answers diverge from upgraded answers", q.Name)
 		}
 	}
 

@@ -8,7 +8,7 @@
 // at service scale the constant factors are dominated by the analysis
 // path, not the data path. The engine separates the two:
 //
-//   - Prepare runs parse → analyze → QPlan once per query *shape* and
+//   - Prepare runs parse → analyze → Optimize once per query *shape* and
 //     memoizes the result in an LRU plan cache keyed by a normalized
 //     query fingerprint. Parameterized templates ("attr = ?") are planned
 //     once against opaque sentinel constants; the plan's structure is
@@ -32,7 +32,6 @@ import (
 	"bcq/internal/live"
 	"bcq/internal/lru"
 	"bcq/internal/obs"
-	"bcq/internal/plan"
 	"bcq/internal/schema"
 	"bcq/internal/shard"
 	"bcq/internal/spc"
@@ -122,13 +121,6 @@ type Options struct {
 	// Parallelism is the executor's probe worker-pool width (≤ 1 means
 	// sequential execution).
 	Parallelism int
-	// PlanMode selects the cold-prepare planning tier: PlanOptimized (the
-	// zero value) runs the full branch-and-bound search per cold shape,
-	// PlanGreedy serves the greedy order only, PlanTiered serves the
-	// greedy order immediately and upgrades cached plans to the optimized
-	// tier in the background (see upgrade.go for the install-time
-	// staleness checks).
-	PlanMode PlanMode
 	// Metrics, when non-nil, instruments the engine on that registry:
 	// prepare latency by outcome, plan-cache counters, executor probe and
 	// wave metrics. One registry should back at most one engine — the
@@ -171,16 +163,6 @@ type Stats struct {
 	Replans int64
 	// Execs counts Prepared.Exec calls.
 	Execs int64
-	// Upgrades counts background plan upgrades installed (tiered mode:
-	// greedy plan replaced in place by the optimized tier).
-	Upgrades int64
-	// UpgradesDiscarded counts background upgrades dropped at install
-	// time because the schema version, the cache entry or the cardinality
-	// fingerprint moved while the upgrade was building.
-	UpgradesDiscarded int64
-	// UpgradesPending is the current depth of the upgrade queue
-	// (including the task in flight).
-	UpgradesPending int64
 }
 
 // Engine is a prepared-query service over one database. It is safe for
@@ -205,26 +187,10 @@ type Engine struct {
 	errs   *lru.Cache[*cacheEntry]
 	flight map[string]*inflight
 
-	// mode is the cold-prepare planning tier (Options.PlanMode).
-	mode PlanMode
-	// Background-upgrade state (tiered mode), all guarded by mu: the
-	// FIFO of pending tasks, the per-fingerprint singleflight set, the
-	// queued-or-in-flight count DrainUpgrades waits on (via upgradeCond)
-	// and whether the lazily started worker goroutine is alive.
-	upgradeQueue      []upgradeTask
-	upgrading         map[string]bool
-	upgradePending    int
-	upgradeWorkerLive bool
-	upgradeCond       *sync.Cond
-
 	// buildHook, when set (tests only), runs at the start of every
 	// analyze→plan pipeline, outside the engine mutex — the observation
 	// point proving that preparations of distinct fingerprints overlap.
 	buildHook func(fp string)
-	// upgradeHook, when set (tests only), runs once per upgrade attempt,
-	// after the worker read the schema version but before it builds — the
-	// window a test blocks to land an ExtendAccess mid-upgrade.
-	upgradeHook func(fp string)
 
 	// metrics instruments (all nil when Options.Metrics was nil): prepare
 	// latency split by outcome, and the executor's pre-resolved bundle,
@@ -233,21 +199,16 @@ type Engine struct {
 	execMetrics *obs.ExecMetrics
 	recorder    *obs.TraceRecorder
 	prepHit     *obs.Histogram
-	// prepMiss and prepMissGreedy split cold-prepare latency by the tier
-	// that answered — the tiered mode's headline measurement.
-	prepMiss       *obs.Histogram
-	prepMissGreedy *obs.Histogram
-	prepErr        *obs.Histogram
+	prepMiss    *obs.Histogram
+	prepErr     *obs.Histogram
 
-	prepares          atomic.Int64
-	hits              atomic.Int64
-	misses            atomic.Int64
-	evictions         atomic.Int64
-	staleRetries      atomic.Int64
-	replans           atomic.Int64
-	execs             atomic.Int64
-	upgrades          atomic.Int64
-	upgradesDiscarded atomic.Int64
+	prepares     atomic.Int64
+	hits         atomic.Int64
+	misses       atomic.Int64
+	evictions    atomic.Int64
+	staleRetries atomic.Int64
+	replans      atomic.Int64
+	execs        atomic.Int64
 }
 
 // inflight is a preparation in progress; concurrent prepares of the same
@@ -315,17 +276,14 @@ func assemble(cat *schema.Catalog, db *storage.Database, src Source, opts Option
 		size = DefaultPlanCacheSize
 	}
 	e := &Engine{
-		cat:       cat,
-		db:        db,
-		src:       src,
-		exe:       exec.New(opts.Parallelism),
-		cache:     lru.New[*cacheEntry](size),
-		errs:      lru.New[*cacheEntry](size),
-		flight:    make(map[string]*inflight),
-		mode:      opts.PlanMode,
-		upgrading: make(map[string]bool),
+		cat:    cat,
+		db:     db,
+		src:    src,
+		exe:    exec.New(opts.Parallelism),
+		cache:  lru.New[*cacheEntry](size),
+		errs:   lru.New[*cacheEntry](size),
+		flight: make(map[string]*inflight),
 	}
-	e.upgradeCond = sync.NewCond(&e.mu)
 	e.recorder = opts.Recorder
 	e.instrument(opts.Metrics)
 	return e
@@ -342,10 +300,9 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	e.metrics = reg
 	e.execMetrics = obs.NewExecMetrics(reg)
 	const prepName = "bcq_prepare_seconds"
-	const prepHelp = "Latency of Prepare by outcome and planning tier (hit: plan cache; miss: analyze->plan at the labeled tier; error: rejected shape)."
+	const prepHelp = "Latency of Prepare by outcome (hit: plan cache; miss: analyze->plan; error: rejected shape)."
 	e.prepHit = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "hit"))
-	e.prepMiss = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "miss"), obs.L("tier", "optimized"))
-	e.prepMissGreedy = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "miss"), obs.L("tier", "greedy"))
+	e.prepMiss = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "miss"))
 	e.prepErr = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "error"))
 	cf := func(name, help string, load func() int64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(load()) })
@@ -357,12 +314,8 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	cf("bcq_plan_stale_retries_total", "Cached errors retried after a schema-version advance.", e.staleRetries.Load)
 	cf("bcq_plan_replans_total", "Cached plans rebuilt after cardinality drift.", e.replans.Load)
 	cf("bcq_exec_runs_total", "Prepared executions started.", e.execs.Load)
-	cf("bcq_plan_upgrades_total", "Background plan upgrades installed (greedy tier replaced by optimized).", e.upgrades.Load)
-	cf("bcq_plan_upgrades_discarded_total", "Background upgrades dropped at install time (schema, cache entry or statistics moved mid-build).", e.upgradesDiscarded.Load)
 	reg.GaugeFunc("bcq_plan_cache_entries", "Plans currently cached.",
 		func() float64 { return float64(e.CacheLen()) })
-	reg.GaugeFunc("bcq_plan_upgrades_pending", "Background upgrades queued or in flight.",
-		func() float64 { return float64(e.PendingUpgrades()) })
 }
 
 // Catalog returns the engine's catalog.
@@ -399,16 +352,13 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Prepares:          e.prepares.Load(),
-		CacheHits:         e.hits.Load(),
-		CacheMisses:       e.misses.Load(),
-		Evictions:         e.evictions.Load(),
-		StaleRetries:      e.staleRetries.Load(),
-		Replans:           e.replans.Load(),
-		Execs:             e.execs.Load(),
-		Upgrades:          e.upgrades.Load(),
-		UpgradesDiscarded: e.upgradesDiscarded.Load(),
-		UpgradesPending:   int64(e.PendingUpgrades()),
+		Prepares:     e.prepares.Load(),
+		CacheHits:    e.hits.Load(),
+		CacheMisses:  e.misses.Load(),
+		Evictions:    e.evictions.Load(),
+		StaleRetries: e.staleRetries.Load(),
+		Replans:      e.replans.Load(),
+		Execs:        e.execs.Load(),
 	}
 }
 
@@ -496,16 +446,8 @@ func (e *Engine) prepare(q *spc.Query, tr *obs.Trace) (*Prepared, error) {
 		e.prepHit.Observe(d)
 		sp.Tag("cache", "hit")
 	default:
-		// Attribute the miss to the tier that answered it — the cold-path
-		// latency split the tiered mode exists to improve.
-		tier := prep.PlanTier()
-		if tier == plan.TierGreedy {
-			e.prepMissGreedy.Observe(d)
-		} else {
-			e.prepMiss.Observe(d)
-		}
+		e.prepMiss.Observe(d)
 		sp.Tag("cache", "miss")
-		sp.Tag("tier", string(tier))
 	}
 	sp.End()
 	return prep, err
@@ -543,11 +485,9 @@ func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err e
 			// Drift check outside the mutex: CardStats is lock-free but
 			// materializes a (small) snapshot, and this runs on every
 			// cache hit — the one path that must never serialize behind
-			// the engine mutex under serving load. The plan state is
-			// loaded once so the fingerprint is compared against the keys
-			// of the same (possibly just-upgraded) plan.
-			st := ent.prep.state.Load()
-			if st.statsFP == "" || e.src.CardStats().Fingerprint(st.acKeys) == st.statsFP {
+			// the engine mutex under serving load.
+			p := ent.prep
+			if p.statsFP == "" || e.src.CardStats().Fingerprint(p.acKeys) == p.statsFP {
 				e.hits.Add(1)
 				return ent.prep, true, nil
 			}
@@ -600,12 +540,6 @@ func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err e
 		if err == nil {
 			if e.cache.Put(fp, &cacheEntry{prep: prep}) {
 				e.evictions.Add(1)
-			}
-			if e.mode == PlanTiered {
-				// The greedy plan serves immediately; the optimized tier is
-				// built in the background and installed into this Prepared
-				// in place (or discarded if the world moves — upgrade.go).
-				e.enqueueUpgradeLocked(fp, prep)
 			}
 		} else {
 			e.errs.Put(fp, &cacheEntry{err: err, version: ver})

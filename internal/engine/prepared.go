@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"bcq/internal/core"
@@ -20,28 +19,16 @@ import (
 // parameterized template the plan was generated against opaque sentinel
 // constants — one per Σ_Q class of placeholder slots — and Exec rebinds
 // the plan's seeds to the argument vector, so no per-request analysis or
-// planning happens. Prepared values are safe for concurrent Exec from
-// many goroutines: everything a caller can observe lives behind one
-// atomically published planState, so a background upgrade (or drift
-// re-plan) swapping the plan never exposes a half-replaced bundle.
+// planning happens. A Prepared is written once, by build, and never
+// mutated after: it is safe for concurrent Exec from many goroutines. A
+// drift re-plan does not touch it — the engine drops the cache entry and
+// builds a new Prepared, while holders of this one keep executing the
+// plan it was built with.
 type Prepared struct {
 	eng *Engine
 	// query is the validated template (placeholders unbound).
 	query *spc.Query
-	// state is the atomically published plan bundle. Readers load it
-	// exactly once per operation (bind, Explain, the accessor methods),
-	// so every execution runs one coherent plan even while an upgrade
-	// installs the next one. The pointer is never nil after build.
-	state atomic.Pointer[planState]
-}
-
-// planState bundles everything that must swap together when a plan is
-// replaced: the slots carry the plan's own Σ_Q class numbering, and the
-// statistics fingerprint is over the constraints this plan probes — a
-// plan paired with another plan's slots or fingerprint would be wrong in
-// ways the type system cannot see.
-type planState struct {
-	// pl is the cached plan: the template's own plan when it has no
+	// pl is the plan: the template's own plan when it has no
 	// placeholders, otherwise the sentinel-instantiated plan.
 	pl *plan.Plan
 	// slots aligns with query.Placeholders: how each positional argument
@@ -51,7 +38,7 @@ type planState struct {
 	// retrieval witnesses), and statsFP the quantized fingerprint of
 	// their observed cardinalities at planning time. A cache hit whose
 	// source fingerprint no longer matches triggers a re-plan (see
-	// Engine.prepare).
+	// Engine.lookupOrBuild).
 	acKeys  []string
 	statsFP string
 }
@@ -75,28 +62,11 @@ type paramSlot struct {
 }
 
 // build runs the one-time preparation pipeline: sentinel instantiation
-// (for templates), analysis and planning. The access schema is passed in
-// by prepare, which read it together with the source version — the pair
-// that tags a cached failure for later invalidation. The planning tier
-// follows the engine's mode: optimized engines pay the full search on
-// the cold path, greedy and tiered engines return the greedy order (and
-// tiered engines enqueue the background upgrade from lookupOrBuild).
+// (for templates), analysis and cost-based planning. The access schema is
+// passed in by prepare, which read it together with the source version —
+// the pair that tags a cached failure for later invalidation. It runs on
+// the cold prepare path, outside the engine mutex.
 func (e *Engine) build(q *spc.Query, acc *schema.AccessSchema) (*Prepared, error) {
-	st, err := e.buildState(q, acc, e.mode == PlanOptimized)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{eng: e, query: q}
-	p.state.Store(st)
-	return p, nil
-}
-
-// buildState runs analysis and planning for one query template and
-// returns the resulting plan bundle; exhaustive selects the full
-// branch-and-bound search over the greedy tier. It is called on the cold
-// prepare path and again by the upgrade worker, both outside the engine
-// mutex.
-func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive bool) (*planState, error) {
 	inst := q
 	var slots []paramSlot
 	if len(q.Placeholders) > 0 {
@@ -129,12 +99,7 @@ func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive b
 		return nil, err
 	}
 	cs := e.src.CardStats()
-	var pl *plan.Plan
-	if exhaustive {
-		pl, err = plan.Optimize(an, &cs)
-	} else {
-		pl, err = plan.OptimizeGreedy(an, &cs)
-	}
+	pl, err := plan.Optimize(an, &cs)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +109,8 @@ func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive b
 		slots[i].class = pl.Closure.MustClass(slots[i].ref)
 	}
 	acKeys := planACKeys(pl)
-	return &planState{
-		pl: pl, slots: slots,
+	return &Prepared{
+		eng: e, query: q, pl: pl, slots: slots,
 		acKeys: acKeys, statsFP: cs.Fingerprint(acKeys),
 	}, nil
 }
@@ -192,65 +157,40 @@ func sentinel(q *spc.Query, k int) value.Value {
 // Query returns the prepared template. Treat it as immutable.
 func (p *Prepared) Query() *spc.Query { return p.query }
 
-// Plan returns the currently installed plan — re-read it per use, since
-// a background upgrade or drift re-plan may have replaced it since the
-// last call. For a parameterized template the seed values of placeholder
-// classes are opaque sentinels; everything else — steps, verifications,
-// bounds — is exactly what every execution runs.
-func (p *Prepared) Plan() *plan.Plan { return p.state.Load().pl }
-
-// PlanTier reports which planning tier produced the currently installed
-// plan: greedy until a tiered engine's background upgrade lands,
-// optimized after.
-func (p *Prepared) PlanTier() plan.Tier { return p.state.Load().pl.Tier }
+// Plan returns the prepared plan. For a parameterized template the seed
+// values of placeholder classes are opaque sentinels; everything else —
+// steps, verifications, bounds — is exactly what every execution runs.
+func (p *Prepared) Plan() *plan.Plan { return p.pl }
 
 // FetchBound is the plan's worst-case data access, the paper's M.
-func (p *Prepared) FetchBound() deduce.Bound { return p.state.Load().pl.FetchBound }
+func (p *Prepared) FetchBound() deduce.Bound { return p.pl.FetchBound }
 
 // EstFetch is the cost model's expected tuples fetched, from the
 // cardinality statistics current when the plan was generated.
-func (p *Prepared) EstFetch() float64 { return p.state.Load().pl.EstFetch }
+func (p *Prepared) EstFetch() float64 { return p.pl.EstFetch }
 
 // StatsFingerprint is the quantized cardinality fingerprint the plan was
 // costed against; the plan cache re-plans when the store's current
 // fingerprint for the same constraints differs.
-func (p *Prepared) StatsFingerprint() string { return p.state.Load().statsFP }
+func (p *Prepared) StatsFingerprint() string { return p.statsFP }
 
-// PlanSnapshot is one coherent read of a Prepared's live plan bundle:
-// the plan, its tier and the statistics fingerprint it was costed
-// against all come from the same atomic load, so a report built from one
-// snapshot can never mix a pre-upgrade plan with a post-upgrade
-// fingerprint (or vice versa).
-type PlanSnapshot struct {
-	Plan    *plan.Plan
-	Tier    plan.Tier
-	StatsFP string
-}
-
-// Snapshot returns one coherent view of the currently installed plan.
-func (p *Prepared) Snapshot() PlanSnapshot {
-	st := p.state.Load()
-	return PlanSnapshot{Plan: st.pl, Tier: st.pl.Tier, StatsFP: st.statsFP}
-}
-
-// Explain renders the currently installed plan with its cost estimates;
-// pass a Result from Exec to print each step's actual probe and fetch
-// counts alongside — and, when the result carries a trace (ExecTrace),
-// the span tree under it.
+// Explain renders the plan with its cost estimates; pass a Result from
+// Exec to print each step's actual probe and fetch counts alongside —
+// and, when the result carries a trace (ExecTrace), the span tree under
+// it.
 func (p *Prepared) Explain(res *exec.Result) string {
-	pl := p.state.Load().pl
-	opts := plan.ExplainOptions{Estimates: pl.CostBased}
+	opts := plan.ExplainOptions{Estimates: p.pl.CostBased}
 	if res != nil {
 		opts.Actuals = &plan.Actuals{Steps: res.StepStats, Verifies: res.VerifyStats}
 		opts.Limit = res.Limit
 		opts.Limited = res.Limited
 		opts.Trace = res.Trace
 	}
-	return pl.ExplainOpts(opts)
+	return p.pl.ExplainOpts(opts)
 }
 
 // NumParams returns the number of placeholder slots Exec expects.
-func (p *Prepared) NumParams() int { return len(p.state.Load().slots) }
+func (p *Prepared) NumParams() int { return len(p.slots) }
 
 // Exec runs the prepared plan with the given placeholder arguments (in
 // placeholder order), returning the bounded-evaluation result. The only
@@ -376,34 +316,26 @@ func (p *Prepared) ExecLimitOn(st exec.Store, limit int, args ...value.Value) (*
 // ok = false means the binding is unsatisfiable (conflicting values for
 // one Σ_Q class, or a fixed slot given a different constant) — the
 // answer is empty without touching the data.
-//
-// The plan state is loaded exactly once: the plan and the slots that
-// bind into it come from the same bundle, so an upgrade installing a new
-// plan concurrently can never pair this execution's plan with the other
-// plan's class numbering. The returned plan is the caller's own (a copy
-// for templates), so streams opened on it keep executing it unchanged —
-// open cursors are pinned to the plan they started on.
 func (p *Prepared) bind(args []value.Value) (*plan.Plan, bool, error) {
-	st := p.state.Load()
-	if len(args) != len(st.slots) {
+	if len(args) != len(p.slots) {
 		return nil, false, fmt.Errorf("engine: query %s expects %d arguments, got %d",
-			p.query.Name, len(st.slots), len(args))
+			p.query.Name, len(p.slots), len(args))
 	}
 	for i, a := range args {
 		if a.IsNull() {
 			return nil, false, fmt.Errorf("engine: argument %d is null; an equality with null is never satisfied", i)
 		}
 	}
-	if len(st.slots) == 0 {
-		return st.pl, true, nil
+	if len(p.slots) == 0 {
+		return p.pl, true, nil
 	}
 
 	// Bind: one value per placeholder class. Conflicting bindings — two
 	// Σ_Q-equal slots given different values, or a fixed slot given a
 	// value other than its pinned constant — make the instantiated query
 	// unsatisfiable.
-	desired := make(map[int]value.Value, len(st.slots))
-	for i, slot := range st.slots {
+	desired := make(map[int]value.Value, len(p.slots))
+	for i, slot := range p.slots {
 		if slot.fixed {
 			if args[i] != slot.val {
 				return nil, false, nil
@@ -419,9 +351,9 @@ func (p *Prepared) bind(args []value.Value) (*plan.Plan, bool, error) {
 		desired[slot.class] = args[i]
 	}
 
-	bound := *st.pl
-	seeds := make([]plan.Seed, len(st.pl.Seeds))
-	copy(seeds, st.pl.Seeds)
+	bound := *p.pl
+	seeds := make([]plan.Seed, len(p.pl.Seeds))
+	copy(seeds, p.pl.Seeds)
 	for i := range seeds {
 		if v, ok := desired[seeds[i].Class]; ok {
 			seeds[i].Val = v

@@ -34,38 +34,12 @@ import (
 // naive derivation order is always evaluated too and wins ties, so
 // Optimize never returns a plan its own model scores worse than QPlan's.
 func Optimize(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
-	return optimize(an, cs, true)
-}
-
-// OptimizeGreedy is the cold-path planning tier: the same pipeline as
-// Optimize — cost model, estimate annotation, cost-based witnesses — but
-// the ordering search stops at the incumbents (derivation order vs the
-// greedy minimum-marginal-cost order) and never enters the
-// branch-and-bound DFS, so planning cost stays roughly linear in the act
-// count instead of exponential in the atom count. Soundness is identical
-// (both tiers emit through the same I_E machinery); only expected fetch
-// cost can differ, and the engine's tiered mode upgrades the plan to the
-// Optimize result in the background.
-func OptimizeGreedy(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
-	return optimize(an, cs, false)
-}
-
-// optimize is the shared cost-based pipeline; exhaustive selects the
-// branch-and-bound tier over the greedy tier.
-func optimize(an *core.Analysis, cs *stats.Snapshot, exhaustive bool) (*Plan, error) {
-	tier := TierGreedy
-	if exhaustive {
-		tier = TierOptimized
-	}
 	eb, trivial, err := analyze(an)
 	if trivial != nil || err != nil {
-		if trivial != nil {
-			trivial.Tier = tier
-		}
 		return trivial, err
 	}
 	m := &costModel{an: an, cs: cs}
-	seq := m.searchOrder(eb, exhaustive)
+	seq := m.searchOrder(eb)
 	p, err := emit(an, eb, seq, m.costWitness(m.estAfter(seq)))
 	if err != nil {
 		// Every searched sequence is feasible by construction; this is a
@@ -77,7 +51,6 @@ func optimize(an *core.Analysis, cs *stats.Snapshot, exhaustive bool) (*Plan, er
 	}
 	AnnotateEstimates(p, cs)
 	p.CostBased = true
-	p.Tier = tier
 	return p, nil
 }
 
@@ -243,12 +216,11 @@ func ready(act deduce.Actualized, populated spc.ClassSet) bool {
 	return true
 }
 
-// searchOrder picks the firing sequence optimize emits: the best of the
-// naive derivation order, the greedy order and — when exhaustive, for
-// small queries, budget permitting — the branch-and-bound optimum, all
-// scored by seqCost, deterministically. With exhaustive false (the
-// greedy tier) the incumbents are the whole search.
-func (m *costModel) searchOrder(eb core.EBResult, exhaustive bool) []int {
+// searchOrder picks the firing sequence Optimize emits: the best of the
+// naive derivation order, the greedy order and — for small queries,
+// budget permitting — the branch-and-bound optimum, all scored by
+// seqCost, deterministically.
+func (m *costModel) searchOrder(eb core.EBResult) []int {
 	goal, interesting := m.goalSets()
 	bestSeq := derivationSeq(eb)
 	best := m.seqCost(bestSeq)
@@ -258,7 +230,7 @@ func (m *costModel) searchOrder(eb core.EBResult, exhaustive bool) []int {
 			bestSeq, best = g, c
 		}
 	}
-	if exhaustive && len(m.an.Closure.Query().Atoms) <= exhaustiveAtomLimit {
+	if len(m.an.Closure.Query().Atoms) <= exhaustiveAtomLimit {
 		s := &search{m: m, goal: goal, interesting: interesting, best: best, budget: searchNodeBudget}
 		est, populated := m.seedEst()
 		s.dfs(make([]int, 0, len(m.an.Acts)), make([]bool, len(m.an.Acts)), populated, est, 0)

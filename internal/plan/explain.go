@@ -61,13 +61,7 @@ func (p *Plan) Explain() string {
 func (p *Plan) ExplainOpts(opts ExplainOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan for %s", p.Query.Name)
-	switch {
-	case p.CostBased && p.Tier == TierGreedy:
-		// The greedy tier is called out so an explain taken before the
-		// background upgrade lands is distinguishable from the optimized
-		// plan that replaces it. The optimized rendering is unchanged.
-		b.WriteString(" (cost-based, greedy tier)")
-	case p.CostBased:
+	if p.CostBased {
 		b.WriteString(" (cost-based)")
 	}
 	b.WriteByte('\n')

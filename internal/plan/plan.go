@@ -141,27 +141,7 @@ type Plan struct {
 	// to the worst-case FetchBound.
 	CostBased bool
 	EstFetch  float64
-	// Tier records which planning tier produced the plan. All tiers share
-	// emit's soundness contract, so a tier only describes how hard the
-	// ordering search worked — never what the plan may answer.
-	Tier Tier
 }
-
-// Tier identifies the planning tier that produced a plan. The engine's
-// tiered mode serves cold prepares from the greedy tier and upgrades
-// them to the optimized tier in the background.
-type Tier string
-
-const (
-	// TierNaive is QPlan's derivation order: no cost model consulted.
-	TierNaive Tier = "naive"
-	// TierGreedy is the cold fast path: the better of the derivation
-	// order and the greedy minimum-marginal-cost order, no exhaustive
-	// search. Planning cost is linear-ish in the act count.
-	TierGreedy Tier = "greedy"
-	// TierOptimized is the full branch-and-bound search of Optimize.
-	TierOptimized Tier = "optimized"
-)
 
 // Seed pins a class to a constant value (one instantiated parameter of
 // X_C).

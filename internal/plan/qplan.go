@@ -37,17 +37,9 @@ import (
 func QPlan(an *core.Analysis) (*Plan, error) {
 	eb, trivial, err := analyze(an)
 	if trivial != nil || err != nil {
-		if trivial != nil {
-			trivial.Tier = TierNaive
-		}
 		return trivial, err
 	}
-	p, err := emit(an, eb, derivationSeq(eb), naiveWitness(an))
-	if err != nil {
-		return nil, err
-	}
-	p.Tier = TierNaive
-	return p, nil
+	return emit(an, eb, derivationSeq(eb), naiveWitness(an))
 }
 
 // analyze runs the shared front half of both planners: the trivial

@@ -93,6 +93,7 @@ func TestMetricsUnderMixedLoad(t *testing.T) {
 		"bcq_plan_prepares_total",
 		"bcq_plan_cache_hits_total",
 		"# TYPE bcq_prepare_seconds histogram",
+		`bcq_prepare_seconds_count{outcome="miss"}`,
 		"bcq_exec_runs_total",
 		"bcq_exec_probes_total",
 		"# TYPE bcq_exec_wave_seconds histogram",

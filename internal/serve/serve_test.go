@@ -242,7 +242,6 @@ func TestPrepareEndpoint(t *testing.T) {
 		NumParams   int      `json:"num_params"`
 		FetchBound  string   `json:"fetch_bound"`
 		PlanSteps   int      `json:"plan_steps"`
-		PlanTier    string   `json:"plan_tier"`
 		EstFetch    float64  `json:"est_fetch"`
 		FetchOrder  []string `json:"fetch_order"`
 		StatsFP     string   `json:"stats_fingerprint"`
@@ -257,80 +256,10 @@ func TestPrepareEndpoint(t *testing.T) {
 	if len(resp.FetchOrder) != resp.PlanSteps || resp.StatsFP == "" || !strings.Contains(resp.Explain, "cost-based") {
 		t.Errorf("prepare response lacks cost-based plan fields: %+v", resp)
 	}
-	if resp.PlanTier != "optimized" {
-		t.Errorf("plan_tier = %q, want optimized (default engine mode)", resp.PlanTier)
-	}
 
 	code, _ = post(t, hs.URL+"/prepare", `{"query": "select photo_id from in_album"}`)
 	if code != http.StatusUnprocessableEntity {
 		t.Errorf("unbounded prepare: status %d, want 422", code)
-	}
-}
-
-// TestPrepareTieredReportsLivePlan covers the tiered serving path:
-// /prepare labels the response with the plan tier it actually holds, and
-// because each request re-reads the live plan, the same fingerprint
-// reports the optimized tier (with its own est_fetch and explain) once
-// the background upgrade lands. /stats exposes the planner block.
-func TestPrepareTieredReportsLivePlan(t *testing.T) {
-	_, srv, hs := newTestServer(t, engine.Options{PlanMode: engine.PlanTiered}, Options{})
-	const body = `{"query": "select photo_id from in_album where album_id = ?"}`
-	code, raw := post(t, hs.URL+"/prepare", body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	var cold struct {
-		Fingerprint string `json:"fingerprint"`
-		PlanTier    string `json:"plan_tier"`
-	}
-	if err := json.Unmarshal(raw, &cold); err != nil {
-		t.Fatal(err)
-	}
-	if cold.PlanTier != "greedy" && cold.PlanTier != "optimized" {
-		t.Fatalf("cold plan_tier = %q, want greedy or optimized", cold.PlanTier)
-	}
-
-	srv.Engine().DrainUpgrades()
-
-	code, raw = post(t, hs.URL+"/prepare", body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	var warm struct {
-		Fingerprint string `json:"fingerprint"`
-		PlanTier    string `json:"plan_tier"`
-		Explain     string `json:"explain"`
-	}
-	if err := json.Unmarshal(raw, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Fingerprint != cold.Fingerprint {
-		t.Fatalf("fingerprint changed across upgrade: %q vs %q", cold.Fingerprint, warm.Fingerprint)
-	}
-	if warm.PlanTier != "optimized" {
-		t.Errorf("post-upgrade plan_tier = %q, want optimized", warm.PlanTier)
-	}
-	if strings.Contains(warm.Explain, "greedy tier") {
-		t.Errorf("post-upgrade explain still renders the greedy tier:\n%s", warm.Explain)
-	}
-
-	resp, err := http.Get(hs.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Planner struct {
-			Mode     string `json:"mode"`
-			Upgrades int64  `json:"upgrades"`
-			Pending  int64  `json:"upgrades_pending"`
-		} `json:"planner"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Planner.Mode != "tiered" || st.Planner.Upgrades != 1 || st.Planner.Pending != 0 {
-		t.Errorf("planner stats = %+v, want mode tiered with 1 installed upgrade", st.Planner)
 	}
 }
 

@@ -5,21 +5,18 @@
 // CI runs it once per change; a regression shows up as the cost variant
 // losing its margin over naive (or planning time exploding).
 //
-// TestPlannerBenchEmit measures the same planning paths once — naive,
-// greedy tier, full optimization — asserts the tiered mode's premise
-// (the greedy tier plans strictly faster than the full optimizer), and,
-// when PLANNER_BENCH_JSON names a path, writes the perf trajectory
-// there; CI compares it against bench/BENCH_planner.json and fails past
-// +25% (tools/benchcmp).
+// TestPlannerBenchEmit measures the same planning paths once — naive
+// and full optimization — and, when PLANNER_BENCH_JSON names a path,
+// writes the perf trajectory there; CI compares it against
+// bench/BENCH_planner.json and fails past +25% (tools/benchcmp).
 //
 // Emitted lower-is-better fields:
 //
 //	plan.naive_ns      — QPlan: derivation order, no cost model
-//	plan.greedy_ns     — OptimizeGreedy: what a tiered cold prepare pays
 //	plan.optimize_ns   — Optimize: greedy + branch-and-bound search
 //
-// The fetched counts (no checked suffix, informational) record that the
-// greedy tier's fetch volume sits between naive and optimized on Q3.
+// The fetched counts (no checked suffix, informational) record the
+// naive and optimized fetch volumes on Q3.
 package bcq
 
 import (
@@ -79,13 +76,6 @@ func BenchmarkPlanner(b *testing.B) {
 			}
 		}
 	})
-	b.Run("plan/greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := a.GreedyPlan(&cs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("plan/cost", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := a.OptimizedPlan(&cs); err != nil {
@@ -134,26 +124,14 @@ func TestPlannerBenchEmit(t *testing.T) {
 		return best
 	}
 	naiveNS := measure(func() error { _, err := a.Plan(); return err })
-	greedyNS := measure(func() error { _, err := a.GreedyPlan(&cs); return err })
 	optNS := measure(func() error { _, err := a.OptimizedPlan(&cs); return err })
 
-	// The tiered mode's premise: a cold prepare on the greedy tier pays
-	// measurably less planning latency than the full optimizer — greedy
-	// is a strict subset of Optimize's work (no branch-and-bound search).
-	if greedyNS >= optNS {
-		t.Errorf("greedy tier planned in %s, full optimizer in %s — greedy must be measurably faster", time.Duration(greedyNS), time.Duration(optNS))
-	}
-
-	// Fetch volumes across tiers on Q3, for the emitted record.
+	// Fetch volumes on Q3, for the emitted record.
 	a, err = Analyze(cat, readQuery(t, "testdata/q3.sql", cat), acc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	naive, err := a.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := a.GreedyPlan(&cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +147,13 @@ func TestPlannerBenchEmit(t *testing.T) {
 		}
 		return res.Stats.TuplesFetched
 	}
-	naiveF, greedyF, optF := fetched(naive), fetched(greedy), fetched(opt)
-	if optF > greedyF {
-		t.Errorf("optimized plan fetched %d > greedy tier %d on q3", optF, greedyF)
+	naiveF, optF := fetched(naive), fetched(opt)
+	if optF > naiveF {
+		t.Errorf("optimized plan fetched %d > naive %d on q3", optF, naiveF)
 	}
 
-	t.Logf("plan: naive %s, greedy %s, optimize %s; fetched: naive %d, greedy %d, optimized %d",
-		time.Duration(naiveNS), time.Duration(greedyNS), time.Duration(optNS), naiveF, greedyF, optF)
+	t.Logf("plan: naive %s, optimize %s; fetched: naive %d, optimized %d",
+		time.Duration(naiveNS), time.Duration(optNS), naiveF, optF)
 
 	if path := os.Getenv("PLANNER_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -186,12 +164,10 @@ func TestPlannerBenchEmit(t *testing.T) {
 		doc := map[string]map[string]int64{
 			"plan": {
 				"naive_ns":    naiveNS,
-				"greedy_ns":   greedyNS,
 				"optimize_ns": optNS,
 			},
 			"exec": {
 				"naive_fetched":     naiveF,
-				"greedy_fetched":    greedyF,
 				"optimized_fetched": optF,
 			},
 		}
