@@ -510,12 +510,6 @@ type (
 	TraceSpan = obs.Span
 	// SlowQueryLog records sampled slow queries as JSON lines.
 	SlowQueryLog = obs.SlowLog
-	// TimeSeries retains windowed metric history — counter rates, gauge
-	// readings, delta-window histogram quantiles — in fixed-size rings
-	// (GET /debug/timeseries).
-	TimeSeries = obs.TimeSeries
-	// TimeSeriesOptions tunes the sampler's interval, window and series cap.
-	TimeSeriesOptions = obs.TimeSeriesOptions
 	// TraceRecorder tail-samples span trees: complete traces are retained
 	// only for slow, errored or outlier-vs-rolling-p99 queries
 	// (GET /debug/traces/{id}).
@@ -556,12 +550,6 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration, sampleN int) *SlowQue
 // bounded at roughly 2× maxBytes.
 func NewSlowQueryLogFile(path string, threshold time.Duration, sampleN int, maxBytes int64) (*SlowQueryLog, error) {
 	return obs.NewSlowLogFile(path, threshold, sampleN, maxBytes)
-}
-
-// NewTimeSeries builds a metric-history sampler over a registry; Start
-// launches its ticker, Stop ends it.
-func NewTimeSeries(reg *MetricsRegistry, opts TimeSeriesOptions) *TimeSeries {
-	return obs.NewTimeSeries(reg, opts)
 }
 
 // NewTraceRecorder builds a tail-sampling trace ring. Wire it into

@@ -59,10 +59,9 @@
 // -pprof-addr serves net/http/pprof on a separate listener so profiling
 // never shares the query port.
 //
-// A retention tier sits on top: with -metrics the server also samples
-// the registry on a ticker and serves windowed metric history at GET
-// /debug/timeseries (-timeseries-interval, -timeseries-window);
-// -trace-retention N keeps the complete span trees of up to N
+// A retention tier sits on top. Metric history is the scraper's job —
+// rates and quantiles over time come from /metrics, not from the
+// process. -trace-retention N keeps the complete span trees of up to N
 // slow/errored/outlier queries, addressable at GET /debug/traces/{id}
 // — every slow-log line's trace_id resolves there; -slo-latency arms
 // multi-window burn-rate detection (latency + error SLOs) whose
@@ -114,8 +113,6 @@ func main() {
 	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at least this slow are slow-log candidates")
 	slowSample := flag.Int("slow-sample", 1, "log every Nth slow-log candidate")
 	slowLogMaxBytes := flag.Int64("slow-log-max-bytes", 0, "rotate the slow-query log file past this size (0 = never; keeps one .1 generation)")
-	tsInterval := flag.Duration("timeseries-interval", obs.DefaultSampleInterval, "metric-history sampling period for GET /debug/timeseries (needs -metrics)")
-	tsWindow := flag.Int("timeseries-window", obs.DefaultSampleWindow, "retained samples per metric series")
 	traceRetention := flag.Int("trace-retention", 0, "retain up to N slow/errored/outlier traces for GET /debug/traces (0 disables)")
 	sloLatency := flag.Duration("slo-latency", 0, "latency SLO threshold; burn-rate detection folds into /healthz (0 disables SLOs)")
 	sloLatencyBudget := flag.Float64("slo-latency-budget", obs.DefaultLatencyBudget, "tolerated fraction of requests over the latency threshold")
@@ -150,8 +147,6 @@ func main() {
 		slowThreshold:    *slowThreshold,
 		slowSample:       *slowSample,
 		slowLogMaxBytes:  *slowLogMaxBytes,
-		tsInterval:       *tsInterval,
-		tsWindow:         *tsWindow,
 		traceRetention:   *traceRetention,
 		sloLatency:       *sloLatency,
 		sloLatencyBudget: *sloLatencyBudget,
@@ -220,8 +215,6 @@ type config struct {
 	slowThreshold    time.Duration
 	slowSample       int
 	slowLogMaxBytes  int64
-	tsInterval       time.Duration
-	tsWindow         int
 	traceRetention   int
 	sloLatency       time.Duration
 	sloLatencyBudget float64
@@ -258,9 +251,6 @@ func (c config) validate() error {
 	}
 	if c.slowLogMaxBytes < 0 {
 		return fmt.Errorf("-slow-log-max-bytes %d: rotation size must be ≥ 0 (0 = never rotate)", c.slowLogMaxBytes)
-	}
-	if c.tsInterval < 0 || c.tsWindow < 0 {
-		return fmt.Errorf("-timeseries-interval/-timeseries-window must be ≥ 0 (0 = default)")
 	}
 	if c.traceRetention < 0 {
 		return fmt.Errorf("-trace-retention %d: retained-trace capacity must be ≥ 0 (0 = disabled)", c.traceRetention)
@@ -312,11 +302,6 @@ func buildServer(c config) (*serve.Server, string, error) {
 	ob := &obs.Observer{}
 	if c.metrics {
 		ob.Metrics = obs.NewRegistry()
-		ob.TimeSeries = obs.NewTimeSeries(ob.Metrics, obs.TimeSeriesOptions{
-			Interval: c.tsInterval,
-			Window:   c.tsWindow,
-		})
-		ob.TimeSeries.Start()
 	}
 	if c.slowLog != "" {
 		if c.slowLog == "-" {

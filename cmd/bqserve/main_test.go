@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBuildAndServeSmoke stands the server up over the small social
@@ -63,8 +66,11 @@ func TestBuildAndServeSmoke(t *testing.T) {
 // TestSlowLogTracesResolveEndToEnd is the acceptance path for the
 // retention tier as assembled by the real buildServer: a threshold-0
 // slow log plus an armed trace recorder means every slow-log line
-// written while serving must resolve through GET /debug/traces/{id},
-// and /debug/timeseries must serve sampled history.
+// written while serving must resolve through GET /debug/traces/{id}.
+// Afterwards the bcq_* families /metrics exposes must equal the
+// committed list in testdata/metric_families.txt, so every retained
+// family has a consumer and none appears or vanishes unnoticed, and the
+// removed /debug/timeseries endpoint must answer 404.
 func TestSlowLogTracesResolveEndToEnd(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "slow.jsonl")
 	srv, _, err := buildServer(config{
@@ -74,6 +80,7 @@ func TestSlowLogTracesResolveEndToEnd(t *testing.T) {
 		slowThreshold:  0, // every query is a slow-log candidate
 		slowSample:     1,
 		traceRetention: 64,
+		sloLatency:     time.Second, // registers the bcq_slo_* families
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,19 +139,41 @@ func TestSlowLogTracesResolveEndToEnd(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(hs.URL + "/debug/timeseries?last=1")
+	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/timeseries: status %d", resp.StatusCode)
+	scrape, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d (err %v)", resp.StatusCode, err)
 	}
-	var doc struct {
-		IntervalMS int64 `json:"interval_ms"`
+	var families []string
+	for _, line := range strings.Split(string(scrape), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "bcq_") {
+			families = append(families, f[2])
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || doc.IntervalMS <= 0 {
-		t.Fatalf("/debug/timeseries payload bad (err %v, interval %d)", err, doc.IntervalMS)
+	golden, err := os.ReadFile(filepath.Join("testdata", "metric_families.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(golden))
+	if !slices.IsSorted(want) {
+		t.Fatal("testdata/metric_families.txt is not sorted")
+	}
+	if !slices.Equal(families, want) {
+		t.Fatalf("/metrics bcq_* families differ from testdata/metric_families.txt:\ngot:\n%s\nwant:\n%s",
+			strings.Join(families, "\n"), strings.Join(want, "\n"))
+	}
+
+	resp, err = http.Get(hs.URL + "/debug/timeseries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/timeseries: status %d, want 404", resp.StatusCode)
 	}
 }
 

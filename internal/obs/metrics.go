@@ -343,90 +343,3 @@ func (h *Histogram) BucketCounts() []int64 {
 	}
 	return out
 }
-
-// Bounds returns the histogram's finite bucket upper bounds (shared by
-// every series of one family; nil on nil).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
-// SeriesSnapshot is one series' state at Collect time — the unit the
-// time-series sampler diffs between ticks.
-type SeriesSnapshot struct {
-	// Name and Kind identify the family ("counter", "gauge", "histogram").
-	Name string
-	Kind string
-	// Labels are the series' label pairs in declared order.
-	Labels []Label
-	// Value is the counter or gauge reading (0 for histograms).
-	Value float64
-	// Histogram state: finite bounds, per-bucket counts (len(Bounds)+1,
-	// the last being +Inf), total count and sum. Nil/0 for other kinds.
-	Bounds []float64
-	Counts []int64
-	Count  int64
-	Sum    float64
-}
-
-// Key renders the snapshot's identity (name plus label values) — stable
-// across Collect calls, unique within one registry.
-func (s *SeriesSnapshot) Key() string {
-	return s.Name + "\x02" + seriesKey(s.Labels)
-}
-
-// Collect reads every series of every family, in the same deterministic
-// order the text exposition uses. The bounds slice of histogram
-// snapshots aliases the family's layout (immutable); counts are copies.
-// Nil registries collect nothing.
-func (r *Registry) Collect() []SeriesSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for name, f := range r.families {
-		names = append(names, name)
-		fams[name] = f
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-
-	var out []SeriesSnapshot
-	for _, name := range names {
-		f := fams[name]
-		f.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
-			snap := SeriesSnapshot{Name: f.name, Kind: string(f.kind), Labels: s.labels}
-			switch f.kind {
-			case kindCounter:
-				snap.Value = float64(s.ctr.Value())
-				if s.fn != nil {
-					snap.Value = s.fn()
-				}
-			case kindGauge:
-				snap.Value = s.gauge.Value()
-				if s.fn != nil {
-					snap.Value = s.fn()
-				}
-			case kindHistogram:
-				snap.Bounds = s.hist.bounds
-				snap.Counts = s.hist.BucketCounts()
-				snap.Count = s.hist.Count()
-				snap.Sum = s.hist.Sum()
-			}
-			out = append(out, snap)
-		}
-		f.mu.Unlock()
-	}
-	return out
-}

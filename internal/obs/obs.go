@@ -5,6 +5,14 @@
 // primitives, so one /metrics scrape and one trace render cover the
 // whole pipeline.
 //
+// Two bounded retention primitives sit on top: TraceRecorder keeps the
+// complete span trees of slow, errored or outlier requests for
+// /debug/traces, and SLO turns request outcomes into the burn-rate
+// verdict /healthz reports. The package keeps no metric history: the
+// registry holds current values only, and rates and quantiles over time
+// are the scraper's job (rate() and histogram_quantile() over /metrics),
+// so they cost the process nothing.
+//
 // The package deliberately imports nothing but the standard library:
 // plan, exec, engine and serve all import it, so it must sit below every
 // other internal package in the dependency order.
@@ -30,9 +38,6 @@ type Observer struct {
 	Metrics *Registry
 	// SlowLog, when non-nil, records sampled slow queries as JSON lines.
 	SlowLog *SlowLog
-	// TimeSeries, when non-nil, retains windowed metric history for
-	// /debug/timeseries.
-	TimeSeries *TimeSeries
 	// Traces, when non-nil, tail-samples span trees for /debug/traces.
 	Traces *TraceRecorder
 	// SLO, when non-nil, evaluates burn-rate health for /healthz.
@@ -53,14 +58,6 @@ func (o *Observer) Slow() *SlowLog {
 		return nil
 	}
 	return o.SlowLog
-}
-
-// Series returns the observer's time-series sampler, nil-safely.
-func (o *Observer) Series() *TimeSeries {
-	if o == nil {
-		return nil
-	}
-	return o.TimeSeries
 }
 
 // TraceRec returns the observer's trace recorder, nil-safely.

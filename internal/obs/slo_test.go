@@ -2,9 +2,32 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// fakeClock hands the SLO monitor a deterministic, advancing time.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
+}
 
 func newTestSLO(clk *fakeClock) *SLO {
 	return NewSLO(SLOOptions{

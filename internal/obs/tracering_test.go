@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +135,11 @@ func TestTraceRecorderRingBoundsAndEviction(t *testing.T) {
 	if !containsLine(scrape, "bcq_traces_resident 4") {
 		t.Fatalf("scrape missing resident gauge:\n%s", scrape)
 	}
+}
+
+// containsLine reports whether sub is one whole line of s.
+func containsLine(s, sub string) bool {
+	return slices.Contains(strings.Split(s, "\n"), sub)
 }
 
 func TestTraceRecorderNilSafe(t *testing.T) {

@@ -236,7 +236,7 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 	if err != nil {
 		return nil, nil, 0, loadErr(path, err)
 	}
-	acs := make([]schema.AccessConstraint, 0, nacs)
+	acs := make([]schema.AccessConstraint, 0, capFor(uint64(nacs), b, minConstraintBytes))
 	for i := uint32(0); i < nacs; i++ {
 		var rel string
 		rel, b, err = takeStr(b)
@@ -320,28 +320,28 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 	if int(nblocks) != len(acs) {
 		return nil, nil, 0, fmt.Errorf("segment: %s: %d index blocks for %d constraints", path, nblocks, len(acs))
 	}
-	groups := make(map[string][][]int, nblocks)
+	groups := make(map[string][][]int, len(acs))
 	for i := uint32(0); i < nblocks; i++ {
 		var ngroups uint64
 		ngroups, b, err = takeU64(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
-		gs := make([][]int, 0, ngroups)
+		gs := make([][]int, 0, capFor(ngroups, b, minU32Bytes))
 		for j := uint64(0); j < ngroups; j++ {
 			var nentries uint32
 			nentries, b, err = takeU32(b)
 			if err != nil {
 				return nil, nil, 0, loadErr(path, err)
 			}
-			g := make([]int, nentries)
-			for k := range g {
+			g := make([]int, 0, capFor(uint64(nentries), b, minU32Bytes))
+			for k := uint32(0); k < nentries; k++ {
 				var pos uint32
 				pos, b, err = takeU32(b)
 				if err != nil {
 					return nil, nil, 0, loadErr(path, err)
 				}
-				g[k] = int(pos)
+				g = append(g, int(pos))
 			}
 			gs = append(gs, g)
 		}
@@ -378,6 +378,22 @@ func syncDir(dir string) error {
 
 func loadErr(path string, err error) error {
 	return fmt.Errorf("segment: %s: %w", path, err)
+}
+
+// Smallest encodings of one element of each counted list: a constraint
+// is a string, two string lists and a u64 bound; a string, an index group
+// and a witness position each take at least one u32.
+const (
+	minConstraintBytes = 4 + 4 + 4 + 8
+	minU32Bytes        = 4
+)
+
+// capFor bounds a preallocation sized by a decoded count n. Every element
+// occupies at least minBytes of the remaining input, so a count rest
+// cannot hold comes from a corrupt file and must not drive the
+// allocation; the decode loop then fails with its usual truncation error.
+func capFor(n uint64, rest []byte, minBytes int) int {
+	return int(min(n, uint64(len(rest)/minBytes)))
 }
 
 func appendU32(dst []byte, v uint32) []byte {
@@ -431,7 +447,7 @@ func takeStrs(b []byte) ([]string, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]string, 0, n)
+	out := make([]string, 0, capFor(uint64(n), rest, minU32Bytes))
 	for i := uint32(0); i < n; i++ {
 		var s string
 		s, rest, err = takeStr(rest)

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
@@ -184,4 +185,42 @@ func TestWriteIsAtomicAndPrunes(t *testing.T) {
 func reflectNameIsSegment(name string) bool {
 	return len(name) == len(namePrefix)+16+len(nameSuffix) &&
 		name[:len(namePrefix)] == namePrefix
+}
+
+// TestLoadRejectsHugeCounts: a checksum-valid segment whose count fields
+// claim more elements than the file holds must fail to load with an
+// error — not size an allocation by the count, which runs out of memory
+// or panics with a capacity out of range.
+func TestLoadRejectsHugeCounts(t *testing.T) {
+	db, _ := testDB(t)
+	friendAC := func(b []byte) []byte { // friend(a -> b, 4)
+		b = appendStr(b, "friend")
+		b = appendStr(appendU32(b, 1), "a")
+		b = appendStr(appendU32(b, 1), "b")
+		return appendU64(b, 4)
+	}
+	// One constraint, no relations, one index block: the prefix every
+	// index-block case shares.
+	oneBlock := func(b []byte) []byte {
+		return appendU32(appendU32(friendAC(appendU32(b, 1)), 0), 1)
+	}
+	cases := map[string][]byte{
+		"constraints": appendU32(nil, 0xFFFFFFFF),
+		"x attrs":     appendU32(appendStr(appendU32(nil, 1), "friend"), 0xFFFFFFFF),
+		"groups":      appendU64(oneBlock(nil), 1<<62),
+		"entries":     appendU32(appendU64(oneBlock(nil), 1), 0xFFFFFFFF),
+	}
+	path := Path(t.TempDir(), 1)
+	for name, tail := range cases {
+		body := appendU64(appendU32([]byte(headMagic), formatVersion), 1)
+		body = append(body, tail...)
+		data := appendU32(body, crc32.Checksum(body, castagnoli))
+		data = append(data, footMagic...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := Load(path, db.Catalog()); err == nil {
+			t.Errorf("%s: Load accepted a count the file cannot hold", name)
+		}
+	}
 }

@@ -8,30 +8,6 @@ import (
 	"bcq/internal/obs"
 )
 
-// handleDebugTimeseries answers GET /debug/timeseries: the sampler's
-// retained metric history as JSON. ?series=PREFIX filters by metric-name
-// prefix; ?last=N trims each series to its newest N points (both
-// optional). Registered only when the observer carries a sampler.
-func (s *Server) handleDebugTimeseries(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		apiError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	last := 0
-	if v := r.URL.Query().Get("last"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			apiError(w, http.StatusBadRequest, "last %q: must be a non-negative integer", v)
-			return
-		}
-		last = n
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(s.obs.Series().JSON(r.URL.Query().Get("series"), last))
-	_, _ = w.Write([]byte("\n"))
-}
-
 // handleDebugTraces answers GET /debug/traces: summaries of the traces
 // the tail-sampling recorder retained (span payloads omitted — resolve
 // an individual trace via /debug/traces/{id}), most recent first.

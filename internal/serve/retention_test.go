@@ -17,9 +17,7 @@ import (
 )
 
 // retentionScene wires the full retention tier — registry, slow log,
-// time-series sampler (manual Sample), trace recorder, SLO — through
-// store, engine and server. The sampler is returned un-Started so tests
-// drive it deterministically.
+// trace recorder, SLO — through store, engine and server.
 func retentionScene(t testing.TB, ob *obs.Observer, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
 	ls := serveScene(t)
@@ -49,72 +47,6 @@ func retentionScene(t testing.TB, ob *obs.Observer, opts Options) (*httptest.Ser
 }
 
 const retentionQuery = `{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"]}`
-
-// TestDebugTimeseries: the sampler's history is served at
-// /debug/timeseries with prefix and last filters, and the endpoint is
-// absent without a sampler.
-func TestDebugTimeseries(t *testing.T) {
-	reg := obs.NewRegistry()
-	ts := obs.NewTimeSeries(reg, obs.TimeSeriesOptions{Interval: time.Second, Window: 16})
-	hs, _ := retentionScene(t, &obs.Observer{Metrics: reg, TimeSeries: ts}, Options{})
-
-	ts.Sample() // seed
-	for i := 0; i < 4; i++ {
-		if code, raw := post(t, hs.URL+"/query", retentionQuery); code != http.StatusOK {
-			t.Fatalf("query status %d: %s", code, raw)
-		}
-	}
-	ts.Sample() // first real points
-
-	resp, err := http.Get(hs.URL + "/debug/timeseries?series=bcq_http_request_seconds&last=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var doc obs.TSDocument
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Samples != 2 || doc.SeriesCount == 0 {
-		t.Fatalf("header = %+v", doc)
-	}
-	foundQueryOK := false
-	for _, s := range doc.Series {
-		if !strings.HasPrefix(s.Name, "bcq_http_request_seconds") {
-			t.Fatalf("prefix filter leaked series %q", s.Name)
-		}
-		if s.Labels["endpoint"] == "query" && s.Labels["outcome"] == "ok" {
-			foundQueryOK = true
-			if len(s.Points) != 1 || s.Points[0].N != 4 {
-				t.Fatalf("query/ok points = %+v, want one point with n=4", s.Points)
-			}
-			if s.Points[0].P95 <= 0 {
-				t.Fatalf("delta p95 = %v, want > 0", s.Points[0].P95)
-			}
-		}
-	}
-	if !foundQueryOK {
-		t.Fatal("no query/ok series in the document")
-	}
-
-	if code, _ := post(t, hs.URL+"/debug/timeseries", "{}"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /debug/timeseries status = %d, want 405", code)
-	}
-
-	// Without a sampler the endpoint is not registered at all.
-	hs2, _ := retentionScene(t, &obs.Observer{Metrics: obs.NewRegistry()}, Options{})
-	resp2, err := http.Get(hs2.URL + "/debug/timeseries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("samplerless /debug/timeseries status = %d, want 404", resp2.StatusCode)
-	}
-}
 
 // TestSlowLogTraceResolution: with the recorder armed, every slow-log
 // entry's trace ID resolves through /debug/traces/{id} to a complete
@@ -341,22 +273,21 @@ func TestStatsLatencyBlock(t *testing.T) {
 	}
 }
 
-// TestDebugScrapeUnderChurn scrapes /metrics and /debug/timeseries (with
-// live Sample calls) while paged queries churn the cursor registry past
-// its cap and ingest advances epochs — the -race run is the point.
+// TestDebugScrapeUnderChurn scrapes /metrics, /debug/traces, /healthz and
+// /stats while paged queries churn the cursor registry past its cap and
+// ingest advances epochs — the -race run is the point.
 func TestDebugScrapeUnderChurn(t *testing.T) {
 	reg := obs.NewRegistry()
-	ts := obs.NewTimeSeries(reg, obs.TimeSeriesOptions{Interval: time.Millisecond, Window: 32})
 	rec := obs.NewTraceRecorder(obs.TraceRecorderOptions{Capacity: 16})
 	slo := obs.NewSLO(obs.SLOOptions{LatencyThreshold: 50 * time.Millisecond})
-	ob := &obs.Observer{Metrics: reg, TimeSeries: ts, Traces: rec, SLO: slo}
+	ob := &obs.Observer{Metrics: reg, Traces: rec, SLO: slo}
 	// CursorCap 2 forces eviction on nearly every paged query.
 	hs, _ := retentionScene(t, ob, Options{CursorCap: 2, CursorTTL: 50 * time.Millisecond})
 
 	stop := time.Now().Add(300 * time.Millisecond)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		wg.Add(4)
+		wg.Add(3)
 		go func() { // paged queries: cursor create/evict churn
 			defer wg.Done()
 			for time.Now().Before(stop) {
@@ -369,10 +300,10 @@ func TestDebugScrapeUnderChurn(t *testing.T) {
 				post(t, hs.URL+"/ingest", `{"ops": [{"op": "insert", "rel": "friends", "tuple": ["u0", "f1"]}]}`)
 			}
 		}()
-		go func() { // scrape both debug surfaces
+		go func() { // scrape the read-only surfaces
 			defer wg.Done()
 			for time.Now().Before(stop) {
-				for _, path := range []string{"/metrics", "/debug/timeseries?last=2", "/debug/traces", "/healthz", "/stats"} {
+				for _, path := range []string{"/metrics", "/debug/traces", "/healthz", "/stats"} {
 					resp, err := http.Get(hs.URL + path)
 					if err != nil {
 						t.Error(err)
@@ -384,26 +315,11 @@ func TestDebugScrapeUnderChurn(t *testing.T) {
 				}
 			}
 		}()
-		go func() { // sampler ticks
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				ts.Sample()
-			}
-		}()
 	}
 	wg.Wait()
 
-	// Memory stayed bounded: rings at their caps, never beyond.
+	// Memory stayed bounded: the ring at its cap, never beyond.
 	if got := rec.Resident(); got > 16 {
 		t.Fatalf("recorder resident %d > cap 16", got)
-	}
-	var doc obs.TSDocument
-	if err := json.Unmarshal(ts.JSON("", 0), &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range doc.Series {
-		if len(s.Points) > 32 {
-			t.Fatalf("series %s has %d points > window 32", s.Name, len(s.Points))
-		}
 	}
 }

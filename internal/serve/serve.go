@@ -188,9 +188,6 @@ func New(eng *engine.Engine, opts Options) (*Server, error) {
 	if reg := s.obs.Reg(); reg != nil {
 		mux.HandleFunc("/metrics", s.instrumented("metrics", reg.Handler().ServeHTTP))
 	}
-	if s.obs.Series() != nil {
-		mux.HandleFunc("/debug/timeseries", s.instrumented("debug", s.handleDebugTimeseries))
-	}
 	if s.obs.TraceRec() != nil {
 		mux.HandleFunc("/debug/traces", s.instrumented("debug", s.handleDebugTraces))
 		mux.HandleFunc("/debug/traces/", s.instrumented("debug", s.handleDebugTraceByID))

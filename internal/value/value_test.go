@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -178,4 +179,22 @@ func TestSortStability(t *testing.T) {
 			t.Fatalf("sorted[%d] = %v, want %v", i, vals[i], want[i])
 		}
 	}
+}
+
+// FuzzDecodeValue: decoding arbitrary bytes never panics, and whatever
+// decodes re-encodes to exactly the bytes it consumed (the encoding is
+// canonical, so this is the round-trip property).
+func FuzzDecodeValue(f *testing.F) {
+	for _, v := range []Value{Null, Int(0), Int(-1), Int(1 << 40), Str(""), Str("ada")} {
+		f.Add(v.AppendKey(nil))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, rest, err := DecodeValue(b)
+		if err != nil {
+			return
+		}
+		if again := v.AppendKey(nil); !bytes.Equal(append(again, rest...), b) {
+			t.Fatalf("round trip of %v changed the input:\n in %x\nout %x + rest %x", v, b, again, rest)
+		}
+	})
 }

@@ -59,7 +59,7 @@ func decodeRecord(b []byte) (Record, error) {
 		if err != nil {
 			return rec, err
 		}
-		rec.Ops = make([]Op, 0, nops)
+		rec.Ops = make([]Op, 0, capFor(uint64(nops), b, minOpBytes))
 		for i := uint32(0); i < nops; i++ {
 			var op Op
 			if len(b) < 1 {
@@ -79,7 +79,7 @@ func decodeRecord(b []byte) (Record, error) {
 			if err != nil {
 				return rec, err
 			}
-			op.Tuple = make(value.Tuple, 0, nvals)
+			op.Tuple = make(value.Tuple, 0, capFor(uint64(nvals), b, minValueBytes))
 			for j := uint32(0); j < nvals; j++ {
 				var v value.Value
 				v, b, err = value.DecodeValue(b)
@@ -115,6 +115,23 @@ func decodeRecord(b []byte) (Record, error) {
 		return rec, fmt.Errorf("wal: %d trailing bytes after record", len(b))
 	}
 	return rec, nil
+}
+
+// Smallest encodings of one element of each counted list: an op is its
+// kind byte plus two u32 length fields, a value at least its tag byte, a
+// string at least its u32 length.
+const (
+	minOpBytes    = 1 + 4 + 4
+	minValueBytes = 1
+	minStrBytes   = 4
+)
+
+// capFor bounds a preallocation sized by a decoded count n. Every element
+// occupies at least minBytes of the remaining input, so a count rest
+// cannot hold comes from a corrupt record and must not drive the
+// allocation; the decode loop then fails with its usual truncation error.
+func capFor(n uint64, rest []byte, minBytes int) int {
+	return int(min(n, uint64(len(rest)/minBytes)))
 }
 
 func appendBE64(dst []byte, v uint64) []byte {
@@ -156,7 +173,7 @@ func takeStrs(b []byte) ([]string, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]string, 0, n)
+	out := make([]string, 0, capFor(uint64(n), rest, minStrBytes))
 	for i := uint32(0); i < n; i++ {
 		var s string
 		s, rest, err = takeStr(rest)

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -245,4 +247,75 @@ func TestEmptyAndTornHeader(t *testing.T) {
 	if _, _, err := Open(path); err == nil {
 		t.Fatal("Open accepted a non-WAL file")
 	}
+}
+
+// hugeCountPayloads are CRC-agnostic record payloads whose count fields
+// claim far more elements than the bytes behind them can hold. Decoding
+// must fail with a truncation error, not size an allocation by the count.
+var hugeCountPayloads = map[string][]byte{
+	// RecBatch, epoch 1, nops = 0xFFFFFFFF.
+	"nops": {byte(RecBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF},
+	// RecBatch, epoch 1, one insert into "r" with nvals = 0xFFFFFFFF.
+	"nvals": {byte(RecBatch), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1,
+		byte(OpInsert), 0, 0, 0, 1, 'r', 0xFF, 0xFF, 0xFF, 0xFF},
+	// RecExtension, epoch 1, rel "r", nx = 0xFFFFFFFF.
+	"nx": {byte(RecExtension), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 'r', 0xFF, 0xFF, 0xFF, 0xFF},
+}
+
+func TestDecodeRecordHugeCounts(t *testing.T) {
+	for name, payload := range hugeCountPayloads {
+		if _, err := decodeRecord(payload); err == nil {
+			t.Errorf("%s: decodeRecord accepted a count the payload cannot hold", name)
+		}
+	}
+}
+
+// TestOpenTruncatesHugeCountFrame: a CRC-valid frame whose payload claims
+// 2^32-1 ops is corruption like any other — recovery keeps the records
+// before it and truncates the tail.
+func TestOpenTruncatesHugeCountFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	recs := testRecords()
+	writeLog(t, path, recs)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := hugeCountPayloads["nops"]
+	frame := appendBE32(nil, uint32(len(payload)))
+	frame = appendBE32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	if err := os.WriteFile(path, append(good, frame...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w, got, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("replayed %d records, want the %d before the corrupt frame", len(got), len(recs))
+	}
+	if st := w.Stats(); st.TruncatedRecords != 1 || st.SizeBytes != int64(len(good)) {
+		t.Fatalf("stats = %+v, want 1 truncated record and size %d", st, len(good))
+	}
+}
+
+// FuzzDecodeRecord: decoding arbitrary bytes never panics, and any payload
+// that decodes re-encodes to exactly the same bytes (the encoding is
+// canonical, so this is the round-trip property).
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range testRecords() {
+		f.Add(rec.encode())
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return
+		}
+		if again := rec.encode(); !bytes.Equal(again, payload) {
+			t.Fatalf("round trip changed the payload:\n in %x\nout %x", payload, again)
+		}
+	})
 }

@@ -88,13 +88,6 @@ func TestObsOverhead(t *testing.T) {
 	bare := obsScene(t, nil)
 	reg := obs.NewRegistry()
 	instr := obsScene(t, reg)
-	// The retention tier rides along: a sampler ticking far faster than
-	// production (10ms vs 5s) collects the registry throughout the
-	// measurement, so the 5% budget covers metrics AND time-series
-	// retention together.
-	ts := obs.NewTimeSeries(reg, obs.TimeSeriesOptions{Interval: 10 * time.Millisecond, Window: 64})
-	ts.Start()
-	defer ts.Stop()
 
 	measure := func(reps int) (bareNS, instrNS float64) {
 		const rounds = 5

@@ -1,8 +1,8 @@
 // Command benchcmp compares a benchmark-emit JSON file (BENCH_obs.json,
-// BENCH_streaming.json, BENCH_timeseries.json) against a committed
-// baseline and fails when a lower-is-better measurement regressed past
-// the threshold. CI runs it after the bench-emit tests so a performance
-// regression fails the build like a broken test.
+// BENCH_streaming.json, BENCH_storage.json, BENCH_planner.json) against
+// a committed baseline and fails when a lower-is-better measurement
+// regressed past the threshold. CI runs it after the bench-emit tests so
+// a performance regression fails the build like a broken test.
 //
 // Usage:
 //
