@@ -109,15 +109,27 @@ func (e *deltaEnum) next(V []*candSet, max int) []value.Tuple {
 		e.nullaryDone = true
 		return []value.Tuple{{}}
 	}
-	var out []value.Tuple
-	for (max <= 0 || len(out) < max) && (e.inBlock || len(e.blocks) > 0) {
+	n := e.pendingCount()
+	if max > 0 && int64(max) < n {
+		n = int64(max)
+	}
+	if n == 0 {
+		return nil
+	}
+	// The combos share one backing array: callers keep them (recorded
+	// probes, parked rows) but never write to them.
+	w := len(e.classes)
+	flat := make([]value.Value, int(n)*w)
+	out := make([]value.Tuple, 0, n)
+	for len(out) < int(n) {
 		if !e.inBlock {
 			b := e.blocks[0]
 			e.odo = append(e.odo[:0], b.lo...)
 			e.inBlock = true
 		}
 		b := e.blocks[0]
-		x := make(value.Tuple, len(e.classes))
+		x := value.Tuple(flat[:w:w])
+		flat = flat[w:]
 		for k, c := range e.classes {
 			x[k] = V[c].vals[e.odo[e.slot[k]]]
 		}

@@ -180,22 +180,6 @@ type run struct {
 	recorded [][]fetched
 }
 
-// candSet is one class's candidate values: insertion-ordered (for
-// deterministic combo enumeration) with O(1) membership.
-type candSet struct {
-	vals []value.Value
-	has  map[value.Value]bool
-}
-
-func newCandSet() *candSet { return &candSet{has: make(map[value.Value]bool)} }
-
-func (s *candSet) add(v value.Value) {
-	if !s.has[v] {
-		s.has[v] = true
-		s.vals = append(s.vals, v)
-	}
-}
-
 // fetched is one recorded index probe: the X-combo used and the entries it
 // returned; kept only for steps some verification collects from. shard is
 // the probe's owning shard (0 on unsharded stores), carried because entry
@@ -212,24 +196,25 @@ type fetched struct {
 // use shard 0 throughout, making the key equivalent to the plain
 // (relation, position) pair.
 type dqTracker struct {
-	seen map[string]map[shardPos]bool
+	seen map[string]*dqSet
 	n    int64
 }
 
-// shardPos identifies one tuple occurrence within a relation.
-type shardPos struct{ shard, pos int }
+func newDQTracker() *dqTracker { return &dqTracker{seen: make(map[string]*dqSet)} }
 
-func newDQTracker() *dqTracker { return &dqTracker{seen: make(map[string]map[shardPos]bool)} }
-
-func (d *dqTracker) add(rel string, shard, pos int) {
-	m := d.seen[rel]
+// rel returns a relation's set, resolved once per probe batch rather
+// than once per fetched tuple.
+func (d *dqTracker) rel(name string) *dqSet {
+	m := d.seen[name]
 	if m == nil {
-		m = make(map[shardPos]bool)
-		d.seen[rel] = m
+		m = &dqSet{}
+		d.seen[name] = m
 	}
-	k := shardPos{shard: shard, pos: pos}
-	if !m[k] {
-		m[k] = true
+	return m
+}
+
+func (d *dqTracker) add(m *dqSet, shard, pos int) {
+	if m.add(uint64(shard)<<40 | uint64(pos)) {
 		d.n++
 	}
 }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"bcq/internal/obs"
@@ -58,9 +58,13 @@ type Stream struct {
 	// order (vstate.tbl points into this slice's elements).
 	tables []*streamTable
 
-	seenOut map[string]bool
-	outbuf  []value.Tuple
-	outHead int
+	// out is the set of distinct answers emitted so far, in emission
+	// order; the tuples Next returns are its arena rows, and out.rows[next:]
+	// are the answers not yet returned.
+	out  rowSet
+	next int
+	// join is emitJoin's scratch, reused from wave to wave.
+	join joinScratch
 
 	growthDone      bool
 	seedOnlyEmitted bool
@@ -122,6 +126,9 @@ type vstate struct {
 	pending  []pendRow
 	pendMark int64
 	complete bool
+	// row is the scratch row memberRow fills; addRow copies it into the
+	// table only when it is new.
+	row value.Tuple
 }
 
 type pendRow struct {
@@ -132,10 +139,10 @@ type pendRow struct {
 // streamTable is one atom's verified row table R_i, grown incrementally.
 type streamTable struct {
 	classes []int
-	rows    []value.Tuple
-	seen    map[string]bool
-	// waveBase is len(rows) at the start of the current wave; rows beyond
-	// it are the wave's delta.
+	// set holds the distinct verified rows in arrival order (set.rows).
+	set rowSet
+	// waveBase is len(set.rows) at the start of the current wave; rows
+	// beyond it are the wave's delta.
 	waveBase int
 }
 
@@ -162,7 +169,7 @@ func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 	r.res.VerifyStats = make([]StepAccess, len(p.Verifies))
 	r.V = make([]*candSet, p.Closure.NumClasses())
 	for i := range r.V {
-		r.V[i] = newCandSet()
+		r.V[i] = &candSet{}
 	}
 	for _, sd := range p.Seeds {
 		r.V[sd.Class].add(sd.Val)
@@ -186,7 +193,8 @@ func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 			for k, src := range vs.Row {
 				classes[k] = src.Class
 			}
-			st.tbl = &streamTable{classes: classes, seen: map[string]bool{}}
+			st.tbl = &streamTable{classes: classes, set: rowSet{width: len(classes)}}
+			st.row = make(value.Tuple, len(classes))
 			s.tables = append(s.tables, st.tbl)
 			if vs.FromStep < 0 {
 				st.enum = newDeltaEnum(vs.XClasses)
@@ -194,7 +202,7 @@ func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 		}
 		s.vst[vi] = st
 	}
-	s.seenOut = map[string]bool{}
+	s.out.width = len(p.OutputClasses)
 	return s
 }
 
@@ -217,7 +225,7 @@ func (s *Stream) Cols() []string { return s.r.res.Cols }
 // the stream is exhausted (or its limit was reached); every returned
 // tuple is a distinct, final answer of the query.
 func (s *Stream) Next() (value.Tuple, bool, error) {
-	for s.outHead >= len(s.outbuf) && !s.done && s.err == nil {
+	for s.next >= len(s.out.rows) && !s.done && s.err == nil {
 		s.advance()
 	}
 	if s.done || s.err != nil {
@@ -226,19 +234,16 @@ func (s *Stream) Next() (value.Tuple, bool, error) {
 	if s.err != nil {
 		return nil, false, s.err
 	}
-	if s.outHead < len(s.outbuf) {
-		t := s.outbuf[s.outHead]
-		s.outHead++
-		if s.outHead == len(s.outbuf) {
-			s.outbuf, s.outHead = s.outbuf[:0], 0
-		}
+	if s.next < len(s.out.rows) {
+		t := s.out.rows[s.next]
+		s.next++
 		return t, true, nil
 	}
 	return nil, false, nil
 }
 
 // Done reports whether the stream has no more answers to produce.
-func (s *Stream) Done() bool { return s.done && s.outHead >= len(s.outbuf) }
+func (s *Stream) Done() bool { return s.done && s.next >= len(s.out.rows) }
 
 // Limited reports whether the stream stopped at its answer limit rather
 // than by exhausting the evaluation.
@@ -318,22 +323,25 @@ func (s *Stream) Result() *Result {
 
 // Drain consumes the stream to exhaustion (or its limit) and returns the
 // materialized result with sorted, deduplicated tuples — the classic
-// evalDQ contract.
+// evalDQ contract. The tuples are the answers Next has not returned yet.
 func (s *Stream) Drain() (*Result, error) {
+	for !s.done && s.err == nil {
+		s.advance()
+	}
+	s.finalize()
+	if s.err != nil {
+		return nil, s.err
+	}
 	var tuples []value.Tuple
-	for {
-		t, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		tuples = append(tuples, t)
+	if n := len(s.out.rows); s.next < n {
+		// The exhausted stream's answer slice becomes the result: the set
+		// behind it is never probed again, so sorting it is safe.
+		tuples = s.out.rows[s.next:n:n]
+		s.next = n
 	}
 	res := s.Result()
 	res.Tuples = tuples
-	sort.Slice(res.Tuples, func(i, j int) bool { return res.Tuples[i].Compare(res.Tuples[j]) < 0 })
+	slices.SortFunc(res.Tuples, value.Tuple.Compare)
 	return res, nil
 }
 
@@ -367,7 +375,7 @@ func (s *Stream) advance() {
 	}()
 
 	for _, tbl := range s.tables {
-		tbl.waveBase = len(tbl.rows)
+		tbl.waveBase = len(tbl.set.rows)
 	}
 
 	progress := false
@@ -450,6 +458,7 @@ func (s *Stream) growStep(si int, xs []value.Tuple, waveSpan *obs.Span) error {
 		return err
 	}
 	s.r.res.StepStats[si].Lookups += int64(len(xs))
+	dq := s.r.dq.rel(st.AC.Rel)
 	for i, entries := range groups {
 		s.r.res.StepStats[si].Fetched += int64(len(entries))
 		shard := 0
@@ -457,7 +466,7 @@ func (s *Stream) growStep(si int, xs []value.Tuple, waveSpan *obs.Span) error {
 			shard = owners[i]
 		}
 		for _, e := range entries {
-			s.r.dq.add(st.AC.Rel, shard, e.Pos)
+			s.r.dq.add(dq, shard, e.Pos)
 			for _, yi := range st.BindPos {
 				s.r.V[st.YClasses[yi]].add(e.Y[yi])
 			}
@@ -521,6 +530,7 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 			}
 			sp.TagInt("probes", int64(len(xs)))
 			s.r.res.VerifyStats[vi].Lookups += int64(len(xs))
+			dq := s.r.dq.rel(vs.Witness.Rel)
 			for i, entries := range groups {
 				s.r.res.VerifyStats[vi].Fetched += int64(len(entries))
 				shard := 0
@@ -528,7 +538,7 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 					shard = owners[i]
 				}
 				for _, e := range entries {
-					s.r.dq.add(vs.Witness.Rel, shard, e.Pos)
+					s.r.dq.add(dq, shard, e.Pos)
 					s.offerRow(vi, st, xs[i], e)
 				}
 			}
@@ -541,8 +551,8 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 			st.pendMark = mark
 			keep := st.pending[:0]
 			for _, pr := range st.pending {
-				if row, ok := s.memberRow(vs, pr.combo, pr.entry); ok {
-					s.addRow(st, row)
+				if s.memberRow(vs, pr.combo, pr.entry, st.row) {
+					s.addRow(st)
 					progress = true
 				} else {
 					keep = append(keep, pr)
@@ -556,7 +566,7 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 		// Candidate sets are final: parked rows can never pass now.
 		st.pending = nil
 		st.complete = true
-		if len(st.tbl.rows) == 0 {
+		if len(st.tbl.set.rows) == 0 {
 			s.finishEmpty()
 		}
 	}
@@ -601,17 +611,17 @@ func (s *Stream) offerRow(vi int, st *vstate, combo value.Tuple, e storage.Index
 			return
 		}
 	}
-	if row, ok := s.memberRow(vs, combo, e); ok {
-		s.addRow(st, row)
+	if s.memberRow(vs, combo, e, st.row) {
+		s.addRow(st)
 		return
 	}
 	st.pending = append(st.pending, pendRow{combo: combo, entry: e})
 }
 
 // memberRow applies candidate-membership filtering (consistency is the
-// caller's, checked once — it never changes).
-func (s *Stream) memberRow(vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry) (value.Tuple, bool) {
-	row := make(value.Tuple, len(vs.Row))
+// caller's, checked once — it never changes), filling row with the
+// candidate row's values. It reports whether every value is a candidate.
+func (s *Stream) memberRow(vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry, row value.Tuple) bool {
 	for k, src := range vs.Row {
 		var v value.Value
 		if src.FromX >= 0 {
@@ -619,27 +629,50 @@ func (s *Stream) memberRow(vs plan.VerifyStep, combo value.Tuple, e storage.Inde
 		} else {
 			v = e.Y[src.FromY]
 		}
-		if !s.r.V[src.Class].has[v] {
-			return nil, false
+		if !s.r.V[src.Class].has(v) {
+			return false
 		}
 		row[k] = v
 	}
-	return row, true
+	return true
 }
 
-// addRow appends a verified row to its table, deduplicated.
-func (s *Stream) addRow(st *vstate, row value.Tuple) {
-	key := row.Key()
-	if !st.tbl.seen[key] {
-		st.tbl.seen[key] = true
-		st.tbl.rows = append(st.tbl.rows, row)
-	}
+// addRow adds the verification's scratch row to its table, deduplicated;
+// only a new row is copied into the table's arena.
+func (s *Stream) addRow(st *vstate) {
+	st.tbl.set.insert(st.row.Hash(), st.row)
 }
 
 // joinInput is one table's contribution to a wave join.
 type joinInput struct {
 	classes []int
 	rows    []value.Tuple
+}
+
+// joinScratch is the working memory of emitJoin, owned by one stream and
+// reused from wave to wave so a join allocates only when it outgrows
+// every earlier one. None of it escapes: answers are copied into the
+// output set's arena.
+type joinScratch struct {
+	inputs []joinInput
+	// covered maps a class to its column in the partial join rows (-1:
+	// not yet joined).
+	covered []int
+	// cur and nxt hold the partial join rows flat, width columns each.
+	cur, nxt []value.Value
+	// sharedTbl/sharedJoin are the positions of the classes an input
+	// shares with the partial rows (in the input row and in the partial
+	// row); newTbl the input positions that add columns.
+	sharedTbl, sharedJoin, newTbl []int
+	// head, next and hashes are the hash index over one input's rows:
+	// head[h&mask] starts a chain of 1 + row index, linked through next,
+	// and hashes[i] is row i's shared-column hash.
+	head, next []int32
+	hashes     []uint64
+	// outSrc maps each output column to a column of the partial row
+	// (≥ 0) or of the last input's row (-1 - position).
+	outSrc []int
+	outRow value.Tuple
 }
 
 // emitWave joins the wave's table deltas semi-naively and emits the new
@@ -656,7 +689,7 @@ func (s *Stream) emitWave() (bool, error) {
 	}
 	any := false
 	for t, tbl := range s.tables {
-		delta := tbl.rows[tbl.waveBase:]
+		delta := tbl.set.rows[tbl.waveBase:]
 		if len(delta) == 0 {
 			continue
 		}
@@ -686,101 +719,189 @@ func (s *Stream) allComplete() bool {
 // pre-wave rows for tables after t partitions the new results across the
 // wave's per-table joins, so nothing is computed twice.
 func (s *Stream) joinDelta(t int, delta []value.Tuple) (bool, error) {
-	inputs := make([]joinInput, 0, len(s.tables))
-	inputs = append(inputs, joinInput{classes: s.tables[t].classes, rows: delta})
+	inputs := append(s.join.inputs[:0], joinInput{classes: s.tables[t].classes, rows: delta})
 	for i, tbl := range s.tables {
 		if i == t {
 			continue
 		}
-		rows := tbl.rows
+		rows := tbl.set.rows
 		if i > t {
-			rows = tbl.rows[:tbl.waveBase]
+			rows = rows[:tbl.waveBase]
 		}
 		if len(rows) == 0 {
 			return false, nil // some table contributes nothing yet
 		}
 		inputs = append(inputs, joinInput{classes: tbl.classes, rows: rows})
 	}
+	s.join.inputs = inputs
 	// Smallest-first keeps the intermediate join narrow (rows per input
 	// are fixed above; order is free).
-	sort.SliceStable(inputs, func(a, b int) bool { return len(inputs[a].rows) < len(inputs[b].rows) })
+	slices.SortStableFunc(inputs, func(a, b joinInput) int { return len(a.rows) - len(b.rows) })
 	return s.emitJoin(inputs)
 }
 
 // emitJoin hash-joins the inputs on shared classes, starting from the
 // seed constants, projects onto the output classes and emits the answers
-// not seen before. It aborts as soon as the stream's limit is reached.
+// not seen before. The last input projects straight into the output set
+// without materializing its join rows. Emission order is the nested
+// order of the partial rows and, within one, of the matching input rows
+// in table order. It aborts as soon as the stream's limit is reached.
 func (s *Stream) emitJoin(inputs []joinInput) (bool, error) {
-	covered := make(map[int]int) // class -> column in the partial join
-	var joinCols []int
-	start := value.Tuple{}
+	j := &s.join
+	nc := s.r.p.Closure.NumClasses()
+	j.covered = slices.Grow(j.covered[:0], nc)[:nc]
+	for c := range j.covered {
+		j.covered[c] = -1
+	}
+	cur := j.cur[:0]
 	for _, sd := range s.r.p.Seeds {
-		covered[sd.Class] = len(joinCols)
-		joinCols = append(joinCols, sd.Class)
-		start = append(start, sd.Val)
+		j.covered[sd.Class] = len(cur)
+		cur = append(cur, sd.Val)
 	}
-	partial := []value.Tuple{start}
+	width, n := len(cur), 1 // n partial rows of width columns each
+	defer func() { j.cur = cur }()
 
-	for _, tbl := range inputs {
-		var sharedTblPos, sharedJoinPos, newTblPos []int
+	for ti, tbl := range inputs {
+		j.sharedTbl, j.sharedJoin, j.newTbl = j.sharedTbl[:0], j.sharedJoin[:0], j.newTbl[:0]
 		for k, c := range tbl.classes {
-			if j, ok := covered[c]; ok {
-				sharedTblPos = append(sharedTblPos, k)
-				sharedJoinPos = append(sharedJoinPos, j)
+			if col := j.covered[c]; col >= 0 {
+				j.sharedTbl = append(j.sharedTbl, k)
+				j.sharedJoin = append(j.sharedJoin, col)
 			} else {
-				newTblPos = append(newTblPos, k)
+				j.newTbl = append(j.newTbl, k)
 			}
 		}
-		hash := make(map[string][]value.Tuple, len(tbl.rows))
-		for _, row := range tbl.rows {
-			hash[value.KeyOf(row, sharedTblPos)] = append(hash[value.KeyOf(row, sharedTblPos)], row)
+		for i, k := range j.newTbl {
+			j.covered[tbl.classes[k]] = width + i
 		}
-		var next []value.Tuple
-		for _, b := range partial {
-			key := value.KeyOf(b, sharedJoinPos)
-			for _, row := range hash[key] {
-				nb := make(value.Tuple, len(b), len(b)+len(newTblPos))
-				copy(nb, b)
-				for _, k := range newTblPos {
-					nb = append(nb, row[k])
-				}
-				next = append(next, nb)
-			}
-		}
-		for _, k := range newTblPos {
-			covered[tbl.classes[k]] = len(joinCols)
-			joinCols = append(joinCols, tbl.classes[k])
-		}
-		partial = next
-		if len(partial) == 0 {
-			break
-		}
-	}
+		mask := j.index(tbl.rows)
 
-	emitted := false
-	for _, b := range partial {
-		out := make(value.Tuple, len(s.r.p.OutputClasses))
-		for k, c := range s.r.p.OutputClasses {
-			j, ok := covered[c]
-			if !ok {
-				return emitted, fmt.Errorf("exec: output class %d never joined (malformed plan)", c)
+		last := ti == len(inputs)-1
+		var projErr error
+		if last {
+			projErr = j.project(s.r.p.OutputClasses, width)
+		}
+		nxt, nn := j.nxt[:0], 0
+		emitted := false
+		for b := 0; b < n; b++ {
+			brow := value.Tuple(cur[b*width : (b+1)*width])
+			h := value.HashOf(brow, j.sharedJoin)
+			for r := j.head[h&mask]; r != 0; r = j.next[r-1] {
+				row := tbl.rows[r-1]
+				if j.hashes[r-1] != h || !j.match(brow, row) {
+					continue
+				}
+				if !last {
+					nxt = append(nxt, brow...)
+					for _, k := range j.newTbl {
+						nxt = append(nxt, row[k])
+					}
+					nn++
+					continue
+				}
+				if projErr != nil {
+					return false, projErr
+				}
+				if s.emit(brow, row) {
+					emitted = true
+					if s.done {
+						return true, nil
+					}
+				}
 			}
-			out[k] = b[j]
 		}
-		key := out.Key()
-		if s.seenOut[key] {
-			continue
-		}
-		s.seenOut[key] = true
-		s.outbuf = append(s.outbuf, out)
-		emitted = true
-		if s.opts.Limit > 0 && len(s.seenOut) >= s.opts.Limit {
-			s.limited = true
-			s.done = true
+		if last {
 			return emitted, nil
 		}
+		cur, j.nxt = nxt, cur
+		width += len(j.newTbl)
+		n = nn
+		if n == 0 {
+			return false, nil
+		}
 	}
-	return emitted, nil
+
+	// No inputs: the seed row alone is the join.
+	if err := j.project(s.r.p.OutputClasses, width); err != nil {
+		return false, err
+	}
+	return s.emit(value.Tuple(cur), nil), nil
+}
+
+// index builds the hash index over one input's rows on the shared
+// positions (j.sharedTbl) and returns the bucket mask. Rows are chained
+// in reverse so each chain walks in table order.
+func (j *joinScratch) index(rows []value.Tuple) uint64 {
+	size := 1
+	for size < len(rows) {
+		size <<= 1
+	}
+	j.head = slices.Grow(j.head[:0], size)[:size]
+	clear(j.head)
+	j.next = slices.Grow(j.next[:0], len(rows))[:len(rows)]
+	j.hashes = slices.Grow(j.hashes[:0], len(rows))[:len(rows)]
+	mask := uint64(size - 1)
+	for i := len(rows) - 1; i >= 0; i-- {
+		h := value.HashOf(rows[i], j.sharedTbl)
+		j.hashes[i] = h
+		j.next[i] = j.head[h&mask]
+		j.head[h&mask] = int32(i + 1)
+	}
+	return mask
+}
+
+// match confirms a hash match: the partial row and the input row agree
+// on every shared class.
+func (j *joinScratch) match(brow, row value.Tuple) bool {
+	for i, k := range j.sharedTbl {
+		if brow[j.sharedJoin[i]] != row[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// project resolves where each output class is read from once the
+// partial rows have the given width: a partial column, or a column the
+// current input adds (j.newTbl).
+func (j *joinScratch) project(outClasses []int, width int) error {
+	j.outSrc = j.outSrc[:0]
+	for _, c := range outClasses {
+		col := j.covered[c]
+		switch {
+		case col < 0:
+			return fmt.Errorf("exec: output class %d never joined (malformed plan)", c)
+		case col < width:
+			j.outSrc = append(j.outSrc, col)
+		default:
+			j.outSrc = append(j.outSrc, -1-j.newTbl[col-width])
+		}
+	}
+	j.outRow = slices.Grow(j.outRow[:0], len(outClasses))[:len(outClasses)]
+	return nil
+}
+
+// emit projects one join result — a partial row and, when joining the
+// last input, one of its rows — onto the output classes (j.outSrc) and
+// adds it to the answer set. It reports whether the answer is new and
+// stops the stream once the limit's worth of answers exists.
+func (s *Stream) emit(brow, row value.Tuple) bool {
+	j := &s.join
+	for k, src := range j.outSrc {
+		if src >= 0 {
+			j.outRow[k] = brow[src]
+		} else {
+			j.outRow[k] = row[-1-src]
+		}
+	}
+	if !s.out.insert(j.outRow.Hash(), j.outRow) {
+		return false
+	}
+	if s.opts.Limit > 0 && len(s.out.rows) >= s.opts.Limit {
+		s.limited = true
+		s.done = true
+	}
+	return true
 }
 
 // finishEmpty concludes the evaluation with an empty answer (a gate

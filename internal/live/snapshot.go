@@ -117,10 +117,12 @@ func (s *Snapshot) Size(rel string) (int64, error) {
 
 // lookupGroup resolves one X-group at this epoch: the youngest diff that
 // rewrote the group wins, otherwise the sealed base index serves it.
-func (s *Snapshot) lookupGroup(acKey, xk string) []storage.IndexEntry {
+// xk is the encoded X-value (value.Tuple.AppendKey); the lookups convert
+// it in place, so a probe builds no key string.
+func (s *Snapshot) lookupGroup(acKey string, xk []byte) []storage.IndexEntry {
 	for cur := s; cur != nil; cur = cur.parent {
 		if m := cur.groups[acKey]; m != nil {
-			if g, ok := m[xk]; ok {
+			if g, ok := m[string(xk)]; ok {
 				return g
 			}
 		}
@@ -147,7 +149,8 @@ func (s *Snapshot) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]stora
 	if len(xVals) != len(ac.X) {
 		return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
 	}
-	entries := s.lookupGroup(key, xVals.Key())
+	var buf [64]byte
+	entries := s.lookupGroup(key, xVals.AppendKey(buf[:0]))
 	s.st.lookups.Add(1)
 	s.st.fetched.Add(int64(len(entries)))
 	rc := s.st.relCounters(ac.Rel)
@@ -167,11 +170,12 @@ func (s *Snapshot) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][
 	}
 	out := make([][]storage.IndexEntry, len(xs))
 	var fetched int64
+	var buf [64]byte
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		g := s.lookupGroup(key, x.Key())
+		g := s.lookupGroup(key, x.AppendKey(buf[:0]))
 		out[i] = g
 		fetched += int64(len(g))
 	}

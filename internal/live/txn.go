@@ -79,7 +79,7 @@ func (tx *txn) group(acKey, xk string) []storage.IndexEntry {
 			return g
 		}
 	}
-	return tx.snap.lookupGroup(acKey, xk)
+	return tx.snap.lookupGroup(acKey, []byte(xk))
 }
 
 // setGroup installs the batch's rewritten group. An emptied group is kept

@@ -66,7 +66,7 @@ func sameIndex(t *testing.T, a, b *storage.Database, ac schema.AccessConstraint)
 			ib.NumGroups(), ib.NumEntries(), ib.MaxGroup())
 	}
 	ia.Range(func(xKey string, entries []storage.IndexEntry) bool {
-		if !reflect.DeepEqual(ib.Entries(xKey), entries) {
+		if !reflect.DeepEqual(ib.Entries([]byte(xKey)), entries) {
 			t.Fatalf("%s: group %q differs", ac, xKey)
 		}
 		return true

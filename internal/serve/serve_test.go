@@ -430,3 +430,34 @@ func TestResultCacheLRUBound(t *testing.T) {
 		t.Errorf("cache holds %d entries, want the LRU bound 2", cs.Entries)
 	}
 }
+
+// TestCachedBodyStableAcrossQueries: a result-cache hit must serve the
+// same bytes the first execution produced, even after other queries —
+// plain, paged and of other shapes — have run in between and reused the
+// executor's memory.
+func TestCachedBodyStableAcrossQueries(t *testing.T) {
+	_, _, hs := newTestServer(t, engine.Options{}, Options{})
+	body := `{"query": "select t1.photo_id from in_album as t1, tagging as t3 where t1.album_id = ? and t3.photo_id = t1.photo_id and t3.taggee_id = ?", "args": ["a0", "u0"]}`
+	code, first := queryOnce(t, hs.URL, body)
+	if code != http.StatusOK || first.Cached {
+		t.Fatalf("first execution: status %d cached %v: %s", code, first.Cached, first.Error)
+	}
+	others := []string{
+		`{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"]}`,
+		`{"query": "select photo_id from in_album where album_id = ?", "args": ["a1"], "limit": 1}`,
+		`{"query": "select friend_id from friends where user_id = ?", "args": ["u0"]}`,
+		`{"query": "select t1.photo_id from in_album as t1, tagging as t3 where t1.album_id = ? and t3.photo_id = t1.photo_id and t3.taggee_id = ?", "args": ["a1", "u0"]}`,
+	}
+	for _, o := range others {
+		if code, raw := post(t, hs.URL+"/query", o); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", o, code, raw)
+		}
+	}
+	code, again := queryOnce(t, hs.URL, body)
+	if code != http.StatusOK || !again.Cached {
+		t.Fatalf("repeat: status %d cached %v, want a cache hit", code, again.Cached)
+	}
+	if !bytes.Equal(again.Result, first.Result) {
+		t.Errorf("cached body changed after other queries:\n %s\n %s", again.Result, first.Result)
+	}
+}

@@ -84,7 +84,7 @@ func (v *View) Partition(ac schema.AccessConstraint, xs []value.Tuple) ([]int, e
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("shard: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		out[i] = int(hashKey(rt.rel, value.KeyOf(x, rt.keyInX)) % uint64(len(v.snaps)))
+		out[i] = int(hashTuple(rt.rel, x, rt.keyInX) % uint64(len(v.snaps)))
 	}
 	return out, nil
 }

@@ -56,19 +56,48 @@ func BuildAccessIndex(rel *Relation, ac schema.AccessConstraint) (*AccessIndex, 
 	if err != nil {
 		return nil, err
 	}
-	idx := &AccessIndex{AC: ac, xPos: xPos, yPos: yPos, m: make(map[string][]IndexEntry)}
-	seen := make(map[string]bool) // encoded (X, Y) pairs already indexed
+	idx := &AccessIndex{AC: ac, xPos: xPos, yPos: yPos}
+	// Groups are collected under dense ids and keyed into idx.m at the end,
+	// so an existing group's probe and append never build a key string:
+	// only a new group's key and each kept entry's Y tuple allocate.
+	gid := make(map[string]int32)
+	var keys []string
+	var groups [][]IndexEntry
+	// seen dedupes (X, Y) pairs: a hash of the pair's values heads a chain
+	// of kept entries (by witness position), confirmed by comparing values.
+	type kept struct{ pos, next int32 }
+	seen := make(map[uint64]int32) // pair hash -> 1 + index into chain
+	var chain []kept
+	var buf [64]byte
 	for pos, t := range rel.Tuples {
-		xk := value.KeyOf(t, xPos)
-		yv := t.Project(yPos)
-		pairKey := xk + "\x00" + yv.Key()
-		if seen[pairKey] {
+		xk := value.AppendKeyOf(buf[:0], t, xPos)
+		g, ok := gid[string(xk)]
+		if !ok {
+			g = int32(len(keys))
+		}
+		h := pairHash(t, xPos, yPos)
+		dup := false
+		for c := seen[h]; c != 0; c = chain[c-1].next {
+			w := rel.Tuples[chain[c-1].pos]
+			if sameAt(t, w, xPos) && sameAt(t, w, yPos) {
+				dup = true
+				break
+			}
+		}
+		if dup {
 			continue
 		}
-		seen[pairKey] = true
+		chain = append(chain, kept{pos: int32(pos), next: seen[h]})
+		seen[h] = int32(len(chain))
+		if !ok {
+			k := string(xk)
+			gid[k] = g
+			keys = append(keys, k)
+			groups = append(groups, nil)
+		}
 		idx.entries++
-		entries := append(idx.m[xk], IndexEntry{Y: yv, Witness: t, Pos: pos})
-		idx.m[xk] = entries
+		entries := append(groups[g], IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
+		groups[g] = entries
 		if len(entries) > idx.maxGroup {
 			idx.maxGroup = len(entries)
 		}
@@ -80,7 +109,26 @@ func BuildAccessIndex(rel *Relation, ac schema.AccessConstraint) (*AccessIndex, 
 			}
 		}
 	}
+	idx.m = make(map[string][]IndexEntry, len(keys))
+	for g, k := range keys {
+		idx.m[k] = groups[g]
+	}
 	return idx, nil
+}
+
+// pairHash hashes a tuple's (X, Y) projection pair.
+func pairHash(t value.Tuple, xPos, yPos []int) uint64 {
+	return value.HashOf(t, xPos)*31 + value.HashOf(t, yPos)
+}
+
+// sameAt reports whether t and u hold equal values at every position.
+func sameAt(t, u value.Tuple, positions []int) bool {
+	for _, p := range positions {
+		if t[p] != u[p] {
+			return false
+		}
+	}
+	return true
 }
 
 // ViolationError reports a cardinality violation found while building an
@@ -111,8 +159,9 @@ func (idx *AccessIndex) NumEntries() int64 { return idx.entries }
 // key is absent. Unlike Database.Fetch it performs no access accounting:
 // it exists so layers built on top of a sealed database — the live store's
 // copy-on-write overlays — can read base groups and do their own counting.
-// Callers must not mutate the returned slice.
-func (idx *AccessIndex) Entries(xKey string) []IndexEntry { return idx.m[xKey] }
+// Callers must not mutate the returned slice. The key is taken as bytes so
+// a probe encoded into a reused buffer builds no string.
+func (idx *AccessIndex) Entries(xKey []byte) []IndexEntry { return idx.m[string(xKey)] }
 
 // AccessIndexFor returns the built index of a constraint, if any. Like
 // AccessIndex.Entries it is an uncounted, layering-oriented accessor.
@@ -197,7 +246,8 @@ func (db *Database) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]Inde
 	if len(xVals) != len(ac.X) {
 		return nil, fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
 	}
-	entries := idx.m[xVals.Key()]
+	var buf [64]byte
+	entries := idx.m[string(xVals.AppendKey(buf[:0]))]
 	db.stats.indexLookups.Add(1)
 	db.stats.tuplesFetched.Add(int64(len(entries)))
 	rc := db.relCounters(ac.Rel)
@@ -219,11 +269,12 @@ func (db *Database) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([]
 	}
 	out := make([][]IndexEntry, len(xs))
 	var fetched int64
+	var buf [64]byte
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		entries := idx.m[x.Key()]
+		entries := idx.m[string(x.AppendKey(buf[:0]))]
 		out[i] = entries
 		fetched += int64(len(entries))
 	}

@@ -52,11 +52,27 @@ func (t Tuple) Compare(u Tuple) int {
 // Key returns a collision-free string encoding of the tuple, suitable for
 // use as a Go map key.
 func (t Tuple) Key() string {
-	buf := make([]byte, 0, 16*len(t))
+	return string(t.AppendKey(make([]byte, 0, 16*len(t))))
+}
+
+// AppendKey appends the tuple's Key encoding to dst. Probing a map with
+// m[string(t.AppendKey(buf[:0]))] over a caller-owned buffer does not
+// allocate, which is how index lookups stay allocation-free.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		buf = v.AppendKey(buf)
+		dst = v.AppendKey(dst)
 	}
-	return string(buf)
+	return dst
+}
+
+// Hash returns the 64-bit hash of the whole tuple: HashOf over every
+// position.
+func (t Tuple) Hash() uint64 {
+	h := uint64(hashInit)
+	for _, v := range t {
+		h = hashStep(h, v)
+	}
+	return hashFinish(h)
 }
 
 // Project returns the tuple restricted to the given positions, in order.
@@ -85,9 +101,26 @@ func (t Tuple) String() string {
 // KeyOf is a convenience for encoding a subset of a tuple's positions as a
 // map key without materializing the projection.
 func KeyOf(t Tuple, positions []int) string {
-	buf := make([]byte, 0, 16*len(positions))
+	return string(AppendKeyOf(make([]byte, 0, 16*len(positions)), t, positions))
+}
+
+// AppendKeyOf appends KeyOf(t, positions)'s encoding to dst.
+func AppendKeyOf(dst []byte, t Tuple, positions []int) []byte {
 	for _, p := range positions {
-		buf = t[p].AppendKey(buf)
+		dst = t[p].AppendKey(dst)
 	}
-	return string(buf)
+	return dst
+}
+
+// HashOf hashes the values at the given positions, in order, without
+// materializing the projection. Tuples whose projections are Equal hash
+// equally, so HashOf(t, tp) == HashOf(u, up) is a necessary condition for
+// the projections to match; callers confirm a match with an equality
+// check, which makes the result independent of collisions.
+func HashOf(t Tuple, positions []int) uint64 {
+	h := uint64(hashInit)
+	for _, p := range positions {
+		h = hashStep(h, t[p])
+	}
+	return hashFinish(h)
 }

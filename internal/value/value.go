@@ -8,6 +8,7 @@ package value
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 )
@@ -178,6 +179,46 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 		return append(dst, v.s...)
 	}
+}
+
+// hashSeed seeds string hashing. Hashes are process-local: they key
+// in-memory tables only and are never persisted or compared across
+// processes, so a per-process random seed is safe.
+var hashSeed = maphash.MakeSeed()
+
+const (
+	hashInit  = 0x9e3779b97f4a7c15
+	hashPrime = 0x100000001b3 // FNV-1a's 64-bit prime; odd, so the step is a bijection
+)
+
+// Hash returns a 64-bit hash of v. Equal values (==) hash equally; distinct
+// values may collide, so a hash match must be confirmed with ==.
+func (v Value) Hash() uint64 {
+	switch v.kind {
+	case KindNull:
+		return 0
+	case KindInt:
+		return mix64(uint64(v.i) ^ hashInit)
+	default:
+		return maphash.String(hashSeed, v.s) ^ 0x5bd1e995
+	}
+}
+
+// hashStep folds one value into a running tuple hash.
+func hashStep(h uint64, v Value) uint64 { return (h ^ v.Hash()) * hashPrime }
+
+// hashFinish spreads a running tuple hash over all 64 bits, so tables
+// that index by the low bits see well-mixed slots.
+func hashFinish(h uint64) uint64 { return mix64(h) }
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // DecodeValue decodes the first value of an AppendKey encoding and returns it
