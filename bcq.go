@@ -379,9 +379,10 @@ func InsertOp(rel string, t Tuple) LiveOp { return live.Insert(rel, t) }
 func DeleteOp(rel string, t Tuple) LiveOp { return live.Delete(rel, t) }
 
 // NewLiveDatabase wraps a loaded database in the live layer. Missing
-// access indexes are built (verifying D |= A) and the base is sealed; the
-// one-time bootstrap also records the per-pair bookkeeping that makes
-// every subsequent write incremental. Use Apply/Insert/Delete to write,
+// access indexes are built (verifying D |= A) and the base is sealed;
+// the bookkeeping that makes every write incremental is built per
+// relation by its first write, so a database that is only read never
+// pays for it. Use Apply/Insert/Delete to write,
 // Snapshot to pin a read view, and NewLiveEngine to serve queries.
 func NewLiveDatabase(db *Database, acc *AccessSchema, opts LiveOptions) (*LiveDatabase, error) {
 	return live.New(db, acc, opts)

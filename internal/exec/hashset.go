@@ -3,6 +3,7 @@ package exec
 import (
 	"math/bits"
 
+	"bcq/internal/slottab"
 	"bcq/internal/value"
 )
 
@@ -13,75 +14,20 @@ import (
 // string and a hash collision can cost a comparison but never change a
 // membership answer. Elements live in insertion order in plain slices
 // (rows in chunked arenas), which keeps every iteration order the
-// executor exposes independent of the hash function. The |D_Q| set
+// executor exposes independent of the hash function. The hash index
+// itself is slottab.Table, shared with the live store. The |D_Q| set
 // (dqSet) needs no separate hash: its keys are packed integers, stored
 // in the table itself.
-
-// slotTable is an open-addressing (linear probing) index over the
-// elements of an insertion-ordered store: slots hold 1 + an element's
-// index, and hashes keeps each element's hash so growth never rehashes
-// values. The table starts empty and grows by doubling, so a set that
-// sees a handful of elements costs a handful of words.
-type slotTable struct {
-	slots  []int32  // 1 + element index; 0 marks an empty slot
-	hashes []uint64 // hashes[i] is element i's hash
-}
-
-// lookup probes for an element with hash h for which eq holds. It
-// reports whether one exists and, if not, the empty slot where an
-// element with hash h belongs; insert(slot, h) must follow before the
-// next lookup. lookup grows the table first when one more element would
-// pass a 3/4 load factor, so the returned slot stays valid.
-func (t *slotTable) lookup(h uint64, eq func(i int) bool) (slot int, found bool) {
-	if 4*(len(t.hashes)+1) > 3*len(t.slots) {
-		t.grow()
-	}
-	mask := len(t.slots) - 1
-	for p := int(h) & mask; ; p = (p + 1) & mask {
-		e := t.slots[p]
-		if e == 0 {
-			return p, false
-		}
-		if t.hashes[e-1] == h && eq(int(e-1)) {
-			return p, true
-		}
-	}
-}
-
-// insert records the next element (index len(hashes)) at a slot lookup
-// returned.
-func (t *slotTable) insert(slot int, h uint64) {
-	t.hashes = append(t.hashes, h)
-	t.slots[slot] = int32(len(t.hashes))
-}
-
-func (t *slotTable) grow() {
-	n := 2 * len(t.slots)
-	if n < 8 {
-		n = 8
-	}
-	t.slots = make([]int32, n)
-	mask := n - 1
-	for i, h := range t.hashes {
-		p := int(h) & mask
-		for t.slots[p] != 0 {
-			p = (p + 1) & mask
-		}
-		t.slots[p] = int32(i + 1)
-	}
-}
 
 // candSet is one class's candidate values: insertion-ordered (for
 // deterministic combo enumeration) with O(1) membership.
 type candSet struct {
 	vals []value.Value
-	idx  slotTable
+	idx  slottab.Table
 }
 
 func (s *candSet) add(v value.Value) {
-	h := v.Hash()
-	if slot, found := s.idx.lookup(h, func(i int) bool { return s.vals[i] == v }); !found {
-		s.idx.insert(slot, h)
+	if _, found := s.idx.Insert(v.Hash(), func(i int) bool { return s.vals[i] == v }); !found {
 		s.vals = append(s.vals, v)
 	}
 }
@@ -90,17 +36,7 @@ func (s *candSet) has(v value.Value) bool {
 	if len(s.vals) == 0 {
 		return false
 	}
-	h := v.Hash()
-	mask := len(s.idx.slots) - 1
-	for p := int(h) & mask; ; p = (p + 1) & mask {
-		e := s.idx.slots[p]
-		if e == 0 {
-			return false
-		}
-		if s.idx.hashes[e-1] == h && s.vals[e-1] == v {
-			return true
-		}
-	}
+	return s.idx.Find(v.Hash(), func(i int) bool { return s.vals[i] == v }) >= 0
 }
 
 // rowSet is an insertion-ordered set of equal-width rows. Admitted rows
@@ -112,7 +48,7 @@ func (s *candSet) has(v value.Value) bool {
 type rowSet struct {
 	width int
 	rows  []value.Tuple
-	idx   slotTable
+	idx   slottab.Table
 	// chunk is the unused tail of the current arena chunk.
 	chunk []value.Value
 }
@@ -124,11 +60,9 @@ const rowChunkMax = 4096
 // present, and reports whether it did; row itself is not retained, so
 // callers can pass a reused scratch row.
 func (s *rowSet) insert(h uint64, row value.Tuple) bool {
-	slot, found := s.idx.lookup(h, func(i int) bool { return s.rows[i].Equal(row) })
-	if found {
+	if _, found := s.idx.Insert(h, func(i int) bool { return s.rows[i].Equal(row) }); found {
 		return false
 	}
-	s.idx.insert(slot, h)
 	s.rows = append(s.rows, s.alloc(row))
 	return true
 }

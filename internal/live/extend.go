@@ -18,7 +18,8 @@ import (
 // pair of the relation is scanned (one pass over the live data — the
 // same cost class as building the index offline) and a group that
 // already exceeds N fails the call with a *storage.ViolationError,
-// leaving the store untouched. On success the constraint's complete
+// leaving the store untouched. Publishing also builds the relation's
+// writer bookkeeping if no write has touched it yet (Store.book). On success the constraint's complete
 // group map is published as the overlay diff of a fresh epoch — the
 // sealed base has no index for the new constraint, so every lookup
 // resolves in the overlay, which by construction reflects exactly the
@@ -129,14 +130,18 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 	}
 
 	st.byKey = newByKey
+	// The relation's bookkeeping gains the new constraint's pair chains,
+	// aligned with its binding; a relation never written so far first
+	// builds the chains of the constraints it already had.
+	bk := st.book(ac.Rel, cur)
+	bk.pairs = append(bk.pairs, ext.pairs)
 	st.byRel[ac.Rel] = append(st.byRel[ac.Rel], ext.bind)
-	st.pairs[ext.bind.key] = ext.pairs
 	// Publish the new constraint's cardinality card, built from the
 	// scanned group map, alongside the existing cards (copy-on-write so
 	// lock-free CardStats readers never see a partial map).
-	card := newACCard()
-	for xk, g := range ext.groups {
-		card.bump(xk, int64(len(g)))
+	card := &acCard{sizeCount: make(map[int64]int64)}
+	for _, g := range ext.groups {
+		card.move(0, int64(len(g)))
 	}
 	oldCards := *st.cards.Load()
 	newCards := make(map[string]*acCard, len(oldCards)+1)
@@ -160,11 +165,11 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 
 // extension is the workspace of one validated ExtendAccess: the
 // constraint's binding, its complete live group map and the writer-side
-// pair bookkeeping, ready to publish.
+// pair chains, ready to publish.
 type extension struct {
 	bind   acBinding
 	groups map[string][]storage.IndexEntry
-	pairs  map[string]*pairEntry
+	pairs  chains
 }
 
 // buildExtension validates the constraint and scans the live data into
@@ -189,28 +194,22 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	if err != nil {
 		return nil, err
 	}
-	ext := &extension{
-		bind:   acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos},
-		groups: make(map[string][]storage.IndexEntry),
-		pairs:  make(map[string]*pairEntry),
-	}
+	b := newBinding(ac, xPos, yPos)
+	ext := &extension{bind: b, groups: make(map[string][]storage.IndexEntry)}
+	cur := st.cur.Load()
+	r := cur.rows(ac.Rel)
 	var verr error
-	err = st.cur.Load().each(ac.Rel, func(pos int, t value.Tuple) bool {
-		pk := pairKey(t, xPos, yPos)
-		pe := ext.pairs[pk]
-		if pe == nil {
-			xk := value.KeyOf(t, xPos)
-			g := ext.groups[xk]
-			if int64(len(g)+1) > ac.N {
-				verr = &storage.ViolationError{AC: ac, XValue: t.Project(xPos), Distinct: int64(len(g) + 1)}
-				return false
-			}
-			ext.groups[xk] = append(g, storage.IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
-			pe = &pairEntry{}
-			ext.pairs[pk] = pe
+	err = cur.each(ac.Rel, func(pos int, t value.Tuple) bool {
+		if !ext.pairs.add(b.pairHash(t), pos, func(p int) bool { return b.samePair(r.at(p), t) }) {
+			return true
 		}
-		pe.count++
-		pe.positions = append(pe.positions, pos)
+		xk := value.KeyOf(t, xPos)
+		g := ext.groups[xk]
+		if int64(len(g)+1) > ac.N {
+			verr = &storage.ViolationError{AC: ac, XValue: t.Project(xPos), Distinct: int64(len(g) + 1)}
+			return false
+		}
+		ext.groups[xk] = append(g, storage.IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
 		return true
 	})
 	if err != nil {

@@ -30,6 +30,15 @@
 // reads"). A batch is all-or-nothing in Strict mode; in Permissive mode
 // structurally valid ops that violate a bound are quarantined and the
 // rest of the batch commits.
+//
+// Writes also need bookkeeping that reads never touch: where each live
+// occurrence of a tuple and of each (X, Y) pair lives, to count
+// multiplicities and re-witness deletes. It is built per relation on the
+// first write (or LiveCount, or ExtendAccess) that touches the relation,
+// in one pass over its live tuples, and holds only integer arrays (see
+// book.go). Opening a store therefore costs O(relations + constraints)
+// beyond indexing the base, and a store that is only read never holds
+// per-tuple writer state.
 package live
 
 import (
@@ -200,27 +209,45 @@ type acBinding struct {
 	key  string
 	xPos []int
 	yPos []int
+	// pairPos is xPos then yPos: the positions an (X, Y) pair spans.
+	pairPos []int
+}
+
+func newBinding(ac schema.AccessConstraint, xPos, yPos []int) acBinding {
+	pairPos := append(append(make([]int, 0, len(xPos)+len(yPos)), xPos...), yPos...)
+	return acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos, pairPos: pairPos}
+}
+
+// pairHash hashes a tuple's (X, Y) pair.
+func (b acBinding) pairHash(t value.Tuple) uint64 { return value.HashOf(t, b.pairPos) }
+
+// samePair reports whether two tuples carry the same (X, Y) pair.
+func (b acBinding) samePair(t, u value.Tuple) bool { return sameAt(t, u, b.pairPos) }
+
+// sameAt reports whether t and u hold equal values at every position.
+func sameAt(t, u value.Tuple, positions []int) bool {
+	for _, p := range positions {
+		if t[p] != u[p] {
+			return false
+		}
+	}
+	return true
 }
 
 // acCard is one constraint's incrementally maintained index shape: how
 // many X-groups are live, how many distinct (X, Y) entries, and the
 // exact current maximum group size. The counters are atomic so readers
 // (the engine's plan-drift check runs per prepared-query cache hit)
-// never take the writer mutex; the maps are writer-owned, mutated only
-// under the store mutex.
+// never take the writer mutex; they start from the base index's shape
+// (Store.reset).
 type acCard struct {
 	groups, entries, maxGroup atomic.Int64
-	// xLive is the live entry count per X-key (groups = #keys with > 0).
-	xLive map[string]int64
 	// sizeCount is the multiset of group sizes (size → #groups of that
 	// size), which is what keeps maxGroup exact under deletes: when the
 	// last group of the maximal size shrinks, the max walks down to the
-	// next occupied size.
+	// next occupied size. It is writer-owned, built with the relation's
+	// bookkeeping (Store.book) and nil until then.
 	sizeCount map[int64]int64
-}
-
-func newACCard() *acCard {
-	return &acCard{xLive: make(map[string]int64), sizeCount: make(map[int64]int64)}
 }
 
 // resize moves one group between size classes, keeping maxGroup exact.
@@ -249,41 +276,20 @@ func (c *acCard) resize(from, to int64) {
 	}
 }
 
-// bump applies a live-entry delta to one X-group, maintaining all three
-// counters. Called under the store mutex.
-func (c *acCard) bump(xk string, delta int64) {
-	if delta == 0 {
+// move records one X-group's live entry count changing from → to,
+// maintaining all three counters. Called under the store mutex.
+func (c *acCard) move(from, to int64) {
+	if from == to {
 		return
 	}
-	from := c.xLive[xk]
-	to := from + delta
-	switch {
-	case to <= 0:
-		delete(c.xLive, xk)
-		to = 0
-	default:
-		c.xLive[xk] = to
-	}
-	if from == 0 && to > 0 {
+	if from == 0 {
 		c.groups.Add(1)
 	}
-	if from > 0 && to == 0 {
+	if to == 0 {
 		c.groups.Add(-1)
 	}
-	c.entries.Add(delta)
+	c.entries.Add(to - from)
 	c.resize(from, to)
-}
-
-// pairEntry is the writer-side bookkeeping of one live (X, Y) pair of one
-// constraint: its multiplicity and the positions of all tuples that ever
-// carried it (dead ones are skipped through the snapshot's deleted sets).
-// The positions exist so a delete of the current witness can re-witness
-// the pair to the first remaining live occurrence — which keeps live
-// index groups structurally identical to what a from-scratch rebuild
-// (Snapshot.Freeze) would produce.
-type pairEntry struct {
-	count     int
-	positions []int
 }
 
 // Store is the mutable live layer over one sealed base database. Readers
@@ -312,19 +318,14 @@ type Store struct {
 	// never races schema evolution.
 	byRel map[string][]acBinding
 	byKey map[string]acBinding
-	// pairs is per constraint key the live (X, Y) pair bookkeeping.
-	pairs map[string]map[string]*pairEntry
+	// books is per relation the writer-side bookkeeping (see book.go),
+	// built on first use; Compact empties it.
+	books map[string]*relBook
 	// cards is per constraint key the incrementally maintained index
 	// shape (see acCard). The map value is replaced wholesale by
 	// ExtendAccess and Compact; counters inside are atomic, so CardStats
 	// reads without the writer mutex.
 	cards atomic.Pointer[map[string]*acCard]
-	// tupPos maps rel → tuple key → positions of all occurrences ever
-	// (base and added; dead ones skipped via the deleted sets).
-	tupPos map[string]map[string][]int
-	// baseLen is the immutable base tuple count per relation; added
-	// positions start there.
-	baseLen map[string]int
 	// quarantine accumulates Permissive-mode refusals.
 	quarantine []Quarantined
 
@@ -363,9 +364,12 @@ type Store struct {
 
 // New builds a live store over a loaded database. The database's access
 // indices for the schema are built if missing (verifying D |= A and
-// sealing the base); the one-time bootstrap pass also records per-pair
-// multiplicities and tuple positions — the same cost class as index
-// construction, paid once so that every subsequent write is incremental.
+// sealing the base). Beyond that, opening a store costs O(relations +
+// constraints): the cardinality statistics start from the base indexes'
+// shapes, and the writer-side bookkeeping that makes every write
+// incremental is built per relation on its first write (one pass over
+// the relation, see Store.book), so a store that is only read never pays
+// for it.
 //
 // With Options.Dir set the store is durable: the base is written out as
 // the epoch-0 checkpoint segment and a write-ahead log is opened, so
@@ -423,64 +427,48 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 		if err != nil {
 			return nil, err
 		}
-		b := acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos}
+		b := newBinding(ac, xPos, yPos)
 		st.byRel[ac.Rel] = append(st.byRel[ac.Rel], b)
 		st.byKey[b.key] = b
 	}
-	size, total := st.bootstrap(base)
+	size, total := st.reset(base)
 	root := &Snapshot{st: st, base: base, epoch: baseEpoch, size: size, numTuples: total, binds: st.byKey, acc: acc}
 	st.cur.Store(root)
 	st.lastCommit.Store(time.Now().UnixNano())
 	return st, nil
 }
 
-// bootstrap (re)builds the writer-side bookkeeping — per-pair
-// multiplicities and positions, tuple positions, base lengths — with one
-// pass per relation per constraint over a sealed base, returning the
-// per-relation sizes. Called under mu (or before the store is shared).
-func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total int64) {
-	st.baseLen = make(map[string]int, st.cat.NumRelations())
-	st.tupPos = make(map[string]map[string][]int, st.cat.NumRelations())
-	st.pairs = make(map[string]map[string]*pairEntry, len(st.byKey))
+// reset starts the writer-side state over on a freshly sealed base — no
+// relation bookkeeping built, one cardinality card per constraint seeded
+// from the shape of the base's index — and returns the base's
+// per-relation and total tuple counts. O(relations + constraints).
+// Called under mu (or before the store is shared).
+func (st *Store) reset(base *storage.Database) (size map[string]int64, total int64) {
+	st.books = make(map[string]*relBook, len(st.byRel))
 	cards := make(map[string]*acCard, len(st.byKey))
 	for key, b := range st.byKey {
-		rel := base.MustRelation(b.ac.Rel)
-		pairs := make(map[string]*pairEntry)
-		card := newACCard()
-		for pos, t := range rel.Tuples {
-			pk := pairKey(t, b.xPos, b.yPos)
-			pe := pairs[pk]
-			if pe == nil {
-				pe = &pairEntry{}
-				pairs[pk] = pe
-				card.bump(value.KeyOf(t, b.xPos), 1)
-			}
-			pe.count++
-			pe.positions = append(pe.positions, pos)
+		c := &acCard{}
+		if idx, ok := base.AccessIndexFor(b.ac); ok {
+			c.groups.Store(idx.NumGroups())
+			c.entries.Store(idx.NumEntries())
+			c.maxGroup.Store(int64(idx.MaxGroup()))
 		}
-		st.pairs[key] = pairs
-		cards[key] = card
+		cards[key] = c
 	}
 	st.cards.Store(&cards)
 	size = make(map[string]int64, st.cat.NumRelations())
 	for _, rs := range st.cat.Relations() {
-		rel := base.MustRelation(rs.Name())
-		st.baseLen[rs.Name()] = len(rel.Tuples)
-		size[rs.Name()] = int64(len(rel.Tuples))
-		total += int64(len(rel.Tuples))
-		pos := make(map[string][]int, len(rel.Tuples))
-		for i, t := range rel.Tuples {
-			k := t.Key()
-			pos[k] = append(pos[k], i)
-		}
-		st.tupPos[rs.Name()] = pos
+		n := int64(len(base.MustRelation(rs.Name()).Tuples))
+		size[rs.Name()] = n
+		total += n
 	}
 	return size, total
 }
 
 // Compact collapses the accumulated write history: it freezes the
 // current snapshot into a fresh sealed base and publishes it as the next
-// epoch, with empty overlays, no tombstones and rebuilt bookkeeping.
+// epoch, with empty overlays and no tombstones; the writer bookkeeping
+// starts over, rebuilt per relation by its next write.
 // Snapshot-side state (added tuples, tombstone diffs) otherwise grows
 // with total writes, not live size, so a long-lived store under
 // insert/delete churn should compact periodically — the live analogue of
@@ -512,7 +500,7 @@ func (st *Store) Compact() (uint64, error) {
 		st.segBytes.Store(info.Bytes)
 		st.segWrites.Add(1)
 	}
-	size, total := st.bootstrap(frozen)
+	size, total := st.reset(frozen)
 	next := &Snapshot{st: st, base: frozen, epoch: cur.epoch + 1, size: size, numTuples: total,
 		binds: st.byKey, acc: st.acc.Load()}
 	st.compactions.Add(1)
@@ -528,11 +516,6 @@ func (st *Store) Compact() (uint64, error) {
 		segment.Prune(st.dir, 2)
 	}
 	return next.epoch, nil
-}
-
-// pairKey encodes one (X-value, Y-value) combination of a constraint.
-func pairKey(t value.Tuple, xPos, yPos []int) string {
-	return value.KeyOf(t, xPos) + "\x00" + value.KeyOf(t, yPos)
 }
 
 // Base returns the sealed database the store was built over. It stays
@@ -564,21 +547,19 @@ func (st *Store) NumTuples() int64 { return st.Snapshot().NumTuples() }
 
 // LiveCount returns the number of live occurrences of an exactly-equal
 // tuple (0 for unknown relations). It consults the writer bookkeeping
-// under the writer lock, so the answer is exact at the instant of the
-// call; a concurrent commit may change it immediately after. The sharded
-// layer uses it to route deletes of constraint-less relations to a shard
-// actually holding the tuple.
+// under the writer lock (building the relation's on first use), so the
+// answer is exact at the instant of the call; a concurrent commit may
+// change it immediately after. The sharded layer uses it to route
+// deletes of constraint-less relations to a shard actually holding the
+// tuple.
 func (st *Store) LiveCount(rel string, t value.Tuple) int {
+	if _, ok := st.cat.Relation(rel); !ok {
+		return 0
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	snap := st.cur.Load()
-	n := 0
-	for _, pos := range st.tupPos[rel][t.Key()] {
-		if !snap.isDeleted(rel, pos) {
-			n++
-		}
-	}
-	return n
+	return st.book(rel, snap).count(t, snap.rows(rel).at)
 }
 
 // Epoch returns the current epoch number (0 until the first commit).

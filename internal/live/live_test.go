@@ -197,23 +197,36 @@ func TestPermissiveQuarantine(t *testing.T) {
 }
 
 // TestChurnDoesNotGrowBookkeeping cycles insert/delete of the same tuple
-// and checks the writer-side position lists are pruned rather than
-// accumulating dead entries (which would degrade deletes and leak).
+// and checks the writer-side chains are pruned rather than accumulating
+// dead positions (which would degrade deletes and leak): the tuple's
+// chain and its pair's chain end empty, and every cycle reuses the one
+// key element the tuple got on its first insert.
 func TestChurnDoesNotGrowBookkeeping(t *testing.T) {
 	st := liveSocial(t, Options{})
+	tu := strs("u7", "f7")
 	for i := 0; i < 200; i++ {
-		if err := st.Insert("friends", strs("u7", "f7")); err != nil {
+		if err := st.Insert("friends", tu); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Delete("friends", strs("u7", "f7")); err != nil {
+		if err := st.Delete("friends", tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st.mu.Lock()
-	positions := st.tupPos["friends"][strs("u7", "f7").Key()]
+	bk, b := st.books["friends"], st.byRel["friends"][0]
+	at := st.cur.Load().rows("friends").at
+	tupKeys, pairKeys := bk.tuples.tab.Len(), bk.pairs[0].tab.Len()
+	pairs := 0
+	if _, live := bk.pairs[0].first(b.pairHash(tu), func(p int) bool { return b.samePair(at(p), tu) },
+		func(int) bool { return true }); live {
+		pairs = 1
+	}
 	st.mu.Unlock()
-	if len(positions) != 0 {
-		t.Errorf("tuple position list holds %d dead entries after churn, want 0", len(positions))
+	if n := st.LiveCount("friends", tu); n != 0 || pairs != 0 {
+		t.Errorf("chains hold %d dead tuple positions and %d dead pair positions after churn, want 0", n, pairs)
+	}
+	if tupKeys != 4 || pairKeys != 4 {
+		t.Errorf("churn of one tuple left %d tuple keys and %d pair keys, want 4 each (3 base + 1)", tupKeys, pairKeys)
 	}
 	if n, _ := st.Snapshot().Size("friends"); n != 3 {
 		t.Errorf("friends size %d after balanced churn, want 3", n)

@@ -60,19 +60,9 @@ type Snapshot struct {
 	numTuples int64
 }
 
-// isDeleted reports whether a position is tombstoned at this epoch.
-func (s *Snapshot) isDeleted(rel string, pos int) bool {
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.delDiff[rel][pos] {
-			return true
-		}
-	}
-	return false
-}
-
 // deadSet materializes the tombstoned positions of one relation at this
 // epoch (nil when there are none), for scan paths that visit every
-// position and would otherwise walk the chain per tuple.
+// position.
 func (s *Snapshot) deadSet(rel string) map[int]bool {
 	var out map[int]bool
 	for cur := s; cur != nil; cur = cur.parent {

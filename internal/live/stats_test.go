@@ -37,13 +37,13 @@ func checkCards(t *testing.T, st *Store, stage string) {
 }
 
 // TestCardStatsConsistentWithRecount walks the statistics through every
-// write path — bootstrap, inserts (fresh and duplicate), deletes
+// write path — opening, inserts (fresh and duplicate), deletes
 // (witness, duplicate, last-occurrence), Compact and ExtendAccess — and
 // cross-checks the incremental counters against a from-scratch recount
 // at each stage.
 func TestCardStatsConsistentWithRecount(t *testing.T) {
 	st := liveSocial(t, Options{})
-	checkCards(t, st, "bootstrap")
+	checkCards(t, st, "open")
 
 	// Fresh entries, a new group, and a duplicate of a live pair (which
 	// must not move any counter).

@@ -9,10 +9,10 @@ import (
 )
 
 // txn is the workspace of one Apply batch. It buffers every effect —
-// copy-on-write index groups, new tuples, tombstones, pair-count deltas —
-// against the basis snapshot, so an aborted batch leaves no trace and a
-// committed one becomes exactly the next epoch's diff. It runs under the
-// store's writer mutex.
+// copy-on-write index groups, new tuples, tombstones — against the basis
+// snapshot, so an aborted batch leaves no trace and a committed one
+// becomes exactly the next epoch's diff. The store's writer bookkeeping
+// changes only on commit. It runs under the store's writer mutex.
 type txn struct {
 	st   *Store
 	snap *Snapshot
@@ -24,18 +24,11 @@ type txn struct {
 	// addedNew are the tuples this batch inserts, per relation, in order;
 	// their positions follow the basis snapshot's added tuples.
 	addedNew map[string][]value.Tuple
+	// pend is per relation the bookkeeping of this batch's own inserts,
+	// over their positions only; lookups consult the store's first.
+	pend map[string]*relBook
 	// delNew are the positions this batch tombstones, per relation.
 	delNew map[string]map[int]bool
-	// pairDelta adjusts pair multiplicities: acKey → pairKey → delta.
-	pairDelta map[string]map[string]int
-	// pairAdd records positions this batch appends to pair position
-	// lists: acKey → pairKey → positions.
-	pairAdd map[string]map[string][]int
-	// cardDelta is the batch's net change in live distinct entries per
-	// X-group: acKey → xKey → delta. +1 when a pair is born (first live
-	// occurrence), −1 when it dies (last occurrence deleted); folded into
-	// the store's cardinality cards on commit.
-	cardDelta map[string]map[string]int64
 	// quarantined collects Permissive-mode refusals, merged on commit.
 	quarantined []Quarantined
 	// applied records the ops that took effect, in order — the WAL logs
@@ -48,25 +41,13 @@ type txn struct {
 
 func newTxn(st *Store, snap *Snapshot) *txn {
 	return &txn{
-		st:        st,
-		snap:      snap,
-		groups:    make(map[string]map[string][]storage.IndexEntry),
-		addedNew:  make(map[string][]value.Tuple),
-		delNew:    make(map[string]map[int]bool),
-		pairDelta: make(map[string]map[string]int),
-		pairAdd:   make(map[string]map[string][]int),
-		cardDelta: make(map[string]map[string]int64),
+		st:       st,
+		snap:     snap,
+		groups:   make(map[string]map[string][]storage.IndexEntry),
+		addedNew: make(map[string][]value.Tuple),
+		pend:     make(map[string]*relBook),
+		delNew:   make(map[string]map[int]bool),
 	}
-}
-
-// bumpCard records a live-entry birth (+1) or death (−1) in one X-group.
-func (tx *txn) bumpCard(acKey, xk string, delta int64) {
-	m := tx.cardDelta[acKey]
-	if m == nil {
-		m = make(map[string]int64)
-		tx.cardDelta[acKey] = m
-	}
-	m[xk] += delta
 }
 
 // group returns the batch's working copy of one X-group, materializing it
@@ -97,56 +78,14 @@ func (tx *txn) setGroup(acKey, xk string, g []storage.IndexEntry) {
 	m[xk] = g
 }
 
-// pairCount is the pair's live multiplicity as of the batch's progress.
-func (tx *txn) pairCount(acKey, pk string) int {
-	n := 0
-	if pe := tx.st.pairs[acKey][pk]; pe != nil {
-		n = pe.count
-	}
-	return n + tx.pairDelta[acKey][pk]
-}
-
-// bumpPair adjusts a pair's batch-local multiplicity delta, recording the
-// position for inserts (delta > 0).
-func (tx *txn) bumpPair(acKey, pk string, delta, pos int) {
-	dm := tx.pairDelta[acKey]
-	if dm == nil {
-		dm = make(map[string]int)
-		tx.pairDelta[acKey] = dm
-	}
-	dm[pk] += delta
-	if delta > 0 {
-		am := tx.pairAdd[acKey]
-		if am == nil {
-			am = make(map[string][]int)
-			tx.pairAdd[acKey] = am
-		}
-		am[pk] = append(am[pk], pos)
-	}
-}
-
-// alive reports whether a position is live as of the batch's progress.
-func (tx *txn) alive(rel string, pos int) bool {
-	if tx.delNew[rel][pos] {
-		return false
-	}
-	return !tx.snap.isDeleted(rel, pos)
-}
-
-// tupleAt reads a tuple by live position: base positions come from the
-// basis snapshot's sealed base, added positions from the basis snapshot
-// or from this batch's own inserts.
+// tupleAt reads a tuple by live position: basis positions come from the
+// basis snapshot, later ones from this batch's own inserts.
 func (tx *txn) tupleAt(rel string, pos int) value.Tuple {
-	base := tx.st.baseLen[rel]
-	if pos < base {
-		return tx.snap.base.MustRelation(rel).Tuples[pos]
+	r := tx.snap.rows(rel)
+	if pos < r.len() {
+		return r.at(pos)
 	}
-	i := pos - base
-	prior := tx.snap.added[rel]
-	if i < len(prior) {
-		return prior[i]
-	}
-	return tx.addedNew[rel][i-len(prior)]
+	return tx.addedNew[rel][pos-r.len()]
 }
 
 // checkStructure validates the caller-bug class of errors: the relation
@@ -172,13 +111,13 @@ func (tx *txn) insert(op Op) error {
 	}
 	t := op.Tuple
 	binds := tx.st.byRel[op.Rel]
+	tx.st.book(op.Rel, tx.snap)
 
 	// Validate: a constraint is at risk only when the tuple's (X, Y) pair
 	// is new to its group — duplicates of a live pair never add a distinct
 	// Y-value.
-	for _, b := range binds {
-		pk := pairKey(t, b.xPos, b.yPos)
-		if tx.pairCount(b.key, pk) > 0 {
+	for j, b := range binds {
+		if _, live := tx.livePair(op.Rel, j, t, -1); live {
 			continue
 		}
 		xk := value.KeyOf(t, b.xPos)
@@ -188,21 +127,25 @@ func (tx *txn) insert(op Op) error {
 	}
 
 	// Apply.
-	pos := tx.st.baseLen[op.Rel] + len(tx.snap.added[op.Rel]) + len(tx.addedNew[op.Rel])
-	for _, b := range binds {
-		pk := pairKey(t, b.xPos, b.yPos)
-		if tx.pairCount(b.key, pk) == 0 {
-			xk := value.KeyOf(t, b.xPos)
-			g := tx.group(b.key, xk)
-			ng := make([]storage.IndexEntry, len(g), len(g)+1)
-			copy(ng, g)
-			ng = append(ng, storage.IndexEntry{Y: t.Project(b.yPos), Witness: t, Pos: pos})
-			tx.setGroup(b.key, xk, ng)
-			tx.bumpCard(b.key, xk, 1)
+	pos := tx.snap.rows(op.Rel).len() + len(tx.addedNew[op.Rel])
+	for j, b := range binds {
+		if _, live := tx.livePair(op.Rel, j, t, -1); live {
+			continue
 		}
-		tx.bumpPair(b.key, pk, +1, pos)
+		xk := value.KeyOf(t, b.xPos)
+		g := tx.group(b.key, xk)
+		ng := make([]storage.IndexEntry, len(g), len(g)+1)
+		copy(ng, g)
+		ng = append(ng, storage.IndexEntry{Y: t.Project(b.yPos), Witness: t, Pos: pos})
+		tx.setGroup(b.key, xk, ng)
 	}
 	tx.addedNew[op.Rel] = append(tx.addedNew[op.Rel], t)
+	pend := tx.pend[op.Rel]
+	if pend == nil {
+		pend = newRelBook(pos, len(binds))
+		tx.pend[op.Rel] = pend
+	}
+	pend.add(pos, t, binds, func(p int) value.Tuple { return tx.tupleAt(op.Rel, p) })
 	tx.applied = append(tx.applied, op)
 	tx.nApplied++
 	return nil
@@ -219,41 +162,38 @@ func (tx *txn) delete(op Op) error {
 		return err
 	}
 	t := op.Tuple
+	tx.st.book(op.Rel, tx.snap)
 	pos, ok := tx.findLive(op.Rel, t)
 	if !ok {
 		return &NotFoundError{Rel: op.Rel, Tuple: t}
 	}
 
-	for _, b := range tx.st.byRel[op.Rel] {
-		pk := pairKey(t, b.xPos, b.yPos)
+	for j, b := range tx.st.byRel[op.Rel] {
 		xk := value.KeyOf(t, b.xPos)
-		yv := t.Project(b.yPos)
-		yk := yv.Key()
 		g := tx.group(b.key, xk)
-		if tx.pairCount(b.key, pk) == 1 {
+		w, survives := tx.livePair(op.Rel, j, t, pos)
+		if !survives {
 			// Last occurrence: drop the pair's entry from the group.
 			ng := make([]storage.IndexEntry, 0, len(g)-1)
 			for _, e := range g {
-				if e.Y.Key() != yk {
+				if !sameY(e.Y, t, b.yPos) {
 					ng = append(ng, e)
 				}
 			}
 			tx.setGroup(b.key, xk, ng)
-			tx.bumpCard(b.key, xk, -1)
-		} else if w, found := tx.firstLivePair(op.Rel, b.key, pk, pos); found {
-			// The pair survives; if the deleted tuple was its witness,
-			// re-witness to the first remaining live occurrence.
-			for i, e := range g {
-				if e.Y.Key() == yk && e.Pos == pos {
-					ng := make([]storage.IndexEntry, len(g))
-					copy(ng, g)
-					ng[i] = storage.IndexEntry{Y: e.Y, Witness: tx.tupleAt(op.Rel, w), Pos: w}
-					tx.setGroup(b.key, xk, ng)
-					break
-				}
+			continue
+		}
+		// The pair survives; if the deleted tuple was its witness,
+		// re-witness to the first remaining live occurrence.
+		for i, e := range g {
+			if e.Pos == pos && sameY(e.Y, t, b.yPos) {
+				ng := make([]storage.IndexEntry, len(g))
+				copy(ng, g)
+				ng[i] = storage.IndexEntry{Y: e.Y, Witness: tx.tupleAt(op.Rel, w), Pos: w}
+				tx.setGroup(b.key, xk, ng)
+				break
 			}
 		}
-		tx.bumpPair(b.key, pk, -1, 0)
 	}
 
 	m := tx.delNew[op.Rel]
@@ -267,40 +207,45 @@ func (tx *txn) delete(op Op) error {
 	return nil
 }
 
-// findLive locates the first live position holding an exactly-equal
-// tuple, in live order (base positions, then insertion order).
-func (tx *txn) findLive(rel string, t value.Tuple) (int, bool) {
-	tk := t.Key()
-	for _, pos := range tx.st.tupPos[rel][tk] {
-		if tx.alive(rel, pos) {
-			return pos, true
+// sameY reports whether an entry's Y-value equals t's values at yPos.
+func sameY(y, t value.Tuple, yPos []int) bool {
+	for i, p := range yPos {
+		if y[i] != t[p] {
+			return false
 		}
 	}
-	// Positions inserted by this very batch are not in tupPos yet.
-	base := tx.st.baseLen[rel] + len(tx.snap.added[rel])
-	for i, nt := range tx.addedNew[rel] {
-		if nt.Key() == tk && tx.alive(rel, base+i) {
-			return base + i, true
-		}
+	return true
+}
+
+// findLive locates the first live position holding an exactly-equal
+// tuple, in live order (basis positions, then this batch's inserts).
+func (tx *txn) findLive(rel string, t value.Tuple) (int, bool) {
+	h := t.Hash()
+	eq := func(p int) bool { return tx.tupleAt(rel, p).Equal(t) }
+	alive := func(p int) bool { return !tx.delNew[rel][p] }
+	if pos, ok := tx.st.books[rel].tuples.first(h, eq, alive); ok {
+		return pos, true
+	}
+	if pend := tx.pend[rel]; pend != nil {
+		return pend.tuples.first(h, eq, alive)
 	}
 	return 0, false
 }
 
-// firstLivePair finds the first live position of a pair other than the
-// one being deleted, scanning the committed position list then this
-// batch's appends — both in live order.
-func (tx *txn) firstLivePair(rel, acKey, pk string, deleting int) (int, bool) {
-	if pe := tx.st.pairs[acKey][pk]; pe != nil {
-		for _, pos := range pe.positions {
-			if pos != deleting && tx.alive(rel, pos) {
-				return pos, true
-			}
-		}
+// livePair finds the first live position other than skip carrying t's
+// (X, Y) pair of the relation's j-th constraint, in live order. The
+// store's chains hold exactly the positions live at the basis, so only
+// this batch's tombstones can kill one of theirs.
+func (tx *txn) livePair(rel string, j int, t value.Tuple, skip int) (int, bool) {
+	b := tx.st.byRel[rel][j]
+	h := b.pairHash(t)
+	eq := func(p int) bool { return b.samePair(tx.tupleAt(rel, p), t) }
+	alive := func(p int) bool { return p != skip && !tx.delNew[rel][p] }
+	if pos, ok := tx.st.books[rel].pairs[j].first(h, eq, alive); ok {
+		return pos, true
 	}
-	for _, pos := range tx.pairAdd[acKey][pk] {
-		if pos != deleting && tx.alive(rel, pos) {
-			return pos, true
-		}
+	if pend := tx.pend[rel]; pend != nil {
+		return pend.pairs[j].first(h, eq, alive)
 	}
 	return 0, false
 }
@@ -317,62 +262,36 @@ const maxChainDepth = 16
 func (st *Store) commit(tx *txn) uint64 {
 	published := tx.snap.epoch
 	if tx.nApplied > 0 {
-		// Fold the cardinality deltas into the shape cards. Each X-group's
-		// net delta is applied once, so the maintained groups/entries/max
-		// counters stay equal to a from-scratch recount of the live data.
+		next := tx.snapshot()
+		// Fold the rewritten groups' size changes into the shape cards, so
+		// the maintained groups/entries/max counters stay equal to a
+		// from-scratch recount of the live data.
 		cards := *st.cards.Load()
-		for acKey, dm := range tx.cardDelta {
+		for acKey, gm := range tx.groups {
 			card := cards[acKey]
-			for xk, delta := range dm {
-				card.bump(xk, delta)
+			for xk, g := range gm {
+				card.move(int64(len(tx.snap.lookupGroup(acKey, []byte(xk)))), int64(len(g)))
 			}
 		}
-		// Fold pair deltas and position appends into the writer state.
-		for acKey, dm := range tx.pairDelta {
-			pairs := st.pairs[acKey]
-			for pk, delta := range dm {
-				pe := pairs[pk]
-				if pe == nil {
-					pe = &pairEntry{}
-					pairs[pk] = pe
-				}
-				pe.count += delta
-				pe.positions = append(pe.positions, tx.pairAdd[acKey][pk]...)
-				if pe.count <= 0 {
-					delete(pairs, pk)
-				}
-			}
-		}
+		// Record the inserted positions in live order, then forget the
+		// deleted ones, so the chains hold exactly the next epoch's live
+		// positions: insert/delete churn cannot grow them (or the
+		// delete-path walks over them) without bound.
 		for rel, ts := range tx.addedNew {
-			base := st.baseLen[rel] + len(tx.snap.added[rel])
-			pos := st.tupPos[rel]
+			r := next.rows(rel)
+			bk, binds := st.books[rel], st.byRel[rel]
 			for i, t := range ts {
-				k := t.Key()
-				pos[k] = append(pos[k], base+i)
+				bk.add(r.len()-len(ts)+i, t, binds, r.at)
 			}
 		}
-		// Prune the deleted positions out of the position bookkeeping, so
-		// insert/delete churn cannot grow it (or the delete-path scans
-		// over it) without bound. The prune preserves list order: the
-		// surviving positions must stay in live order for witness picks.
 		for rel, dm := range tx.delNew {
+			r := next.rows(rel)
+			bk, binds := st.books[rel], st.byRel[rel]
 			for pos := range dm {
-				t := tx.tupleAt(rel, pos)
-				tk := t.Key()
-				if rest := removePos(st.tupPos[rel][tk], pos); len(rest) == 0 {
-					delete(st.tupPos[rel], tk)
-				} else {
-					st.tupPos[rel][tk] = rest
-				}
-				for _, b := range st.byRel[rel] {
-					if pe := st.pairs[b.key][pairKey(t, b.xPos, b.yPos)]; pe != nil {
-						pe.positions = removePos(pe.positions, pos)
-					}
-				}
+				bk.remove(pos, r.at(pos), binds, r.at)
 			}
 		}
 
-		next := tx.snapshot()
 		st.applied.Add(tx.nApplied)
 		st.cur.Store(next)
 		st.lastCommit.Store(time.Now().UnixNano())
@@ -387,17 +306,6 @@ func (st *Store) commit(tx *txn) uint64 {
 		st.quarantined.Add(int64(len(tx.quarantined)))
 	}
 	return published
-}
-
-// removePos removes one occurrence of pos from the list, preserving
-// order; the backing array is writer-owned, never shared with snapshots.
-func removePos(list []int, pos int) []int {
-	for i, p := range list {
-		if p == pos {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // snapshot builds the next epoch from the workspace: cumulative added /

@@ -3,7 +3,9 @@
 // BenchmarkWALAppend prices the commit pipeline's durability step — one
 // fsynced WAL append per batch — and BenchmarkRecovery prices bringing a
 // crashed store back (segment load + WAL-tail replay through normal
-// admission). TestStorageBenchEmit measures the same paths once and,
+// admission). TestStorageBenchEmit measures the same paths once, plus
+// opening an in-memory live store over a fixed friends graph and its
+// first write (which builds the written relation's bookkeeping), and,
 // when STORAGE_BENCH_JSON names a path, writes the perf trajectory
 // there; CI compares it against bench/BENCH_storage.json and fails past
 // +25% (tools/benchcmp).
@@ -16,13 +18,18 @@
 //	recovery.per_record_ns     — open cost divided over the replayed records
 //	checkpoint.compact_ns      — Compact: freeze + segment write + WAL reset
 //	checkpoint.segment_bytes   — size of the sealed segment
+//	live.new_ns                — NewLiveDatabase over a sealed graph
+//	live.new_alloc_bytes       — bytes that open allocates (flat in |D|)
+//	live.first_write_ns        — the first single-op batch, lazy build included
 package bcq
 
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -86,6 +93,67 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
+// benchFriendsGraph is the sealed graph the live-open measurements run
+// over: users users with friends seeded distinct friends each.
+func benchFriendsGraph(tb testing.TB, users, friends int) (*Database, *AccessSchema) {
+	tb.Helper()
+	cat, acc, err := ParseDDL(fmt.Sprintf(`
+relation friends(user_id, friend_id)
+constraint friends: (user_id) -> (friend_id, %d)
+`, friends))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db := NewDatabase(cat)
+	rng := rand.New(rand.NewSource(1))
+	mine := make(map[int]bool, friends)
+	for u := 0; u < users; u++ {
+		clear(mine)
+		for len(mine) < friends {
+			f := rng.Intn(users)
+			if f == u || mine[f] {
+				continue
+			}
+			mine[f] = true
+			if err := db.Insert("friends", Tuple{Int(int64(u)), Int(int64(f))}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := db.BuildIndexes(acc); err != nil {
+		tb.Fatal(err)
+	}
+	return db, acc
+}
+
+// measureLiveOpen opens fresh live stores over one sealed graph and
+// returns the fastest open, its allocated bytes and the fastest first
+// write, each the best of a few rounds.
+func measureLiveOpen(tb testing.TB, db *Database, acc *AccessSchema) (newNS, newBytes, firstWriteNS int64) {
+	tb.Helper()
+	newNS, newBytes, firstWriteNS = 1<<62, 1<<62, 1<<62
+	var before, after runtime.MemStats
+	for round := 0; round < 3; round++ {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		ld, err := NewLiveDatabase(db, acc, LiveOptions{})
+		elapsed := time.Since(start).Nanoseconds()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		newNS = min(newNS, elapsed)
+		newBytes = min(newBytes, int64(after.TotalAlloc-before.TotalAlloc))
+
+		start = time.Now()
+		if _, err := ld.Apply([]LiveOp{InsertOp("friends", Tuple{Int(-1), Int(int64(round))})}); err != nil {
+			tb.Fatal(err)
+		}
+		firstWriteNS = min(firstWriteNS, time.Since(start).Nanoseconds())
+	}
+	return newNS, newBytes, firstWriteNS
+}
+
 // TestStorageBenchEmit measures the durable tier's guardrail paths once
 // and asserts their sanity (every record replays, the checkpoint resets
 // the WAL); with STORAGE_BENCH_JSON set the measurements are written
@@ -147,9 +215,16 @@ func TestStorageBenchEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Live open over a fixed graph, then its first write.
+	const graphUsers, graphFriends = 2000, 16
+	gdb, gacc := benchFriendsGraph(t, graphUsers, graphFriends)
+	newNS, newBytes, firstWriteNS := measureLiveOpen(t, gdb, gacc)
+
 	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment)",
 		time.Duration(appendNS), frameBytes, appends, time.Duration(openNS),
 		time.Duration(openNS/appends), time.Duration(compactNS), segBytes)
+	t.Logf("live open over %d tuples %s (%d B); first write %s",
+		gdb.NumTuples(), time.Duration(newNS), newBytes, time.Duration(firstWriteNS))
 
 	if path := os.Getenv("STORAGE_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -170,6 +245,12 @@ func TestStorageBenchEmit(t *testing.T) {
 			"checkpoint": {
 				"compact_ns":    compactNS,
 				"segment_bytes": segBytes,
+			},
+			"live": {
+				"tuples":          gdb.NumTuples(),
+				"new_ns":          newNS,
+				"new_alloc_bytes": newBytes,
+				"first_write_ns":  firstWriteNS,
 			},
 		}
 		enc := json.NewEncoder(f)
